@@ -240,103 +240,6 @@ fn bench_checkpoint(c: &mut Criterion) {
     g.finish();
 }
 
-/// A wide many-lane network for the sharded runtime: independent
-/// source → double → increment pipelines, the workload shape the
-/// epoch-commit coordinator is built for (many runnable processes per
-/// scheduler round, no cross-lane coupling).
-fn sharded_pipeline(lanes: usize) -> Network {
-    let mut net = Network::new();
-    for lane in 0..lanes {
-        let a = Chan::new(300 + 3 * lane as u32);
-        let b = Chan::new(301 + 3 * lane as u32);
-        let d = Chan::new(302 + 3 * lane as u32);
-        net.add(procs::Source::new(
-            format!("env-{lane}"),
-            a,
-            (0..96).map(Value::Int).collect::<Vec<_>>(),
-        ));
-        net.add(procs::Apply::int_affine(
-            format!("double-{lane}"),
-            a,
-            b,
-            2,
-            0,
-        ));
-        net.add(procs::Apply::int_affine(format!("inc-{lane}"), b, d, 1, 1));
-    }
-    net
-}
-
-/// The sharded runtime against the single-threaded engine on the wide
-/// workload, across worker counts. The byte-identity contract means the
-/// *only* thing allowed to vary here is wall-clock time; `shards-1`
-/// (the inline backend: full epoch protocol, no threads) is gated at
-/// ≤1.05× the unsharded engine. The gated ratio comes from the returned
-/// interleaved paired measurement, not from the sequential criterion
-/// medians below: back-to-back A/B pairs cancel the machine-load drift
-/// that makes two medians taken minutes apart swing ±10% either way.
-fn bench_sharded(c: &mut Criterion) -> f64 {
-    let opts = RunOptions {
-        max_steps: 1_000_000,
-        seed: 7,
-        ..RunOptions::default()
-    };
-    let lanes = 48;
-
-    let run_unsharded = || {
-        let mut net = sharded_pipeline(lanes);
-        net.run_report(&mut RoundRobin::new(), opts).steps
-    };
-    let run_one_shard = || {
-        let mut net = sharded_pipeline(lanes);
-        net.run_report_sharded(&mut RoundRobin::new(), opts.with_shards(1))
-            .steps
-    };
-    let sharded_one_overhead = if criterion::smoke_mode() {
-        1.0
-    } else {
-        let mut bases = Vec::new();
-        let mut ones = Vec::new();
-        for _ in 0..3 {
-            black_box(run_unsharded());
-            black_box(run_one_shard());
-        }
-        for _ in 0..30 {
-            let t0 = std::time::Instant::now();
-            black_box(run_unsharded());
-            bases.push(t0.elapsed().as_secs_f64());
-            let t1 = std::time::Instant::now();
-            black_box(run_one_shard());
-            ones.push(t1.elapsed().as_secs_f64());
-        }
-        bases.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-        ones.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-        ones[ones.len() / 2] / bases[bases.len() / 2]
-    };
-
-    let mut g = c.benchmark_group("sharded");
-    g.sample_size(10);
-    g.bench_function("unsharded", |b| {
-        b.iter(|| {
-            let mut net = sharded_pipeline(lanes);
-            black_box(net.run_report(&mut RoundRobin::new(), opts).steps)
-        })
-    });
-    for shards in [1usize, 2, 4, 8] {
-        g.bench_function(format!("shards-{shards}"), |b| {
-            b.iter(|| {
-                let mut net = sharded_pipeline(lanes);
-                black_box(
-                    net.run_report_sharded(&mut RoundRobin::new(), opts.with_shards(shards))
-                        .steps,
-                )
-            })
-        });
-    }
-    g.finish();
-    sharded_one_overhead
-}
-
 /// The ARQ tax: the checkpoint pipeline with its stage channel protected
 /// by an engine-level reliable link — over a clean medium (pure protocol
 /// overhead) and over a 10%-loss medium (recovery latency).
@@ -757,7 +660,6 @@ fn main() {
     bench_conformance_only(&mut c, &desc);
     bench_faulty_link(&mut c);
     bench_checkpoint(&mut c);
-    let sharded_one_overhead = bench_sharded(&mut c);
     let sketch_capture_overhead = bench_telemetry(&mut c);
     bench_reliable(&mut c);
     bench_monitored(&mut c);
@@ -807,17 +709,8 @@ fn main() {
     let monitored_overhead = median("runtime/section23/run_report_monitored") / s23_bare;
     let posthoc_overhead = median("runtime/section23/run_report+conformance") / s23_bare;
     let step_speedup = median("compiled/step-interp") / median("compiled/step-compiled");
-    let sharded_base = median("sharded/unsharded");
-    let shard_scaling: Vec<(usize, f64, f64)> = [1usize, 2, 4, 8]
-        .iter()
-        .map(|&k| {
-            let ns = median(&format!("sharded/shards-{k}"));
-            (k, ns, ns / sharded_base)
-        })
-        .collect();
-    // sharded_one_overhead and sketch_capture_overhead came back from
-    // their groups' interleaved paired measurements, not from
-    // sequential medians
+    // sketch_capture_overhead came back from its group's interleaved
+    // paired measurement, not from sequential medians
     let zero_copy_resume_speedup =
         median("telemetry/decode-resume") / median("telemetry/view-resume");
     if criterion::smoke_mode() {
@@ -850,10 +743,6 @@ fn main() {
         "  \"compiled_step_speedup\": {step_speedup:.4},\n"
     ));
     json.push_str(&format!(
-        "  \"sharded_one_overhead\": {sharded_one_overhead:.4},\n"
-    ));
-    json.push_str("  \"sharded_one_overhead_gate\": 1.05,\n");
-    json.push_str(&format!(
         "  \"sketch_capture_overhead\": {sketch_capture_overhead:.4},\n"
     ));
     json.push_str("  \"sketch_capture_overhead_gate\": 1.05,\n");
@@ -861,14 +750,6 @@ fn main() {
         "  \"zero_copy_resume_speedup\": {zero_copy_resume_speedup:.4},\n"
     ));
     json.push_str("  \"zero_copy_resume_speedup_gate\": 1.00,\n");
-    json.push_str("  \"shard_scaling\": [\n");
-    for (i, (k, ns, ratio)) in shard_scaling.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"shards\": {k}, \"median_ns\": {ns:.1}, \"vs_unsharded\": {ratio:.4}}}{}\n",
-            if i + 1 < shard_scaling.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
     json.push_str("  \"ir_stats\": [\n");
     for (i, s) in stats.iter().enumerate() {
         json.push_str(&format!(
@@ -939,15 +820,6 @@ fn main() {
     assert!(
         step_speedup.is_finite() && step_speedup > 1.0,
         "compiled stepping must beat the interpreter (got {step_speedup:.4}×)"
-    );
-    assert!(
-        sharded_one_overhead.is_finite(),
-        "sharded-1 overhead must be measurable"
-    );
-    assert!(
-        sharded_one_overhead <= 1.05,
-        "one-shard epoch protocol costs {sharded_one_overhead:.4}× over the unsharded \
-         engine, above the 1.05× gate"
     );
     assert!(
         sketch_capture_overhead.is_finite(),

@@ -69,12 +69,6 @@ pub struct RunOptions {
     /// halts at the convicting step with [`RunStatus::MonitorAborted`].
     /// Ignored by unmonitored runs.
     pub monitor: MonitorPolicy,
-    /// Worker shards for the sharded runtime ([`crate::shard`]), used by
-    /// the `*_sharded` run methods ([`Network::run_report_sharded`] and
-    /// friends). The run is byte-identical for every value; `1` (the
-    /// default) runs inline without spawning threads. Clamped to the
-    /// process count. Ignored by the single-threaded run methods.
-    pub shards: usize,
     /// Accumulate mergeable telemetry sketches inline during the run
     /// (queue-depth/latency quantiles, heavy-hitter channels,
     /// distinct-value cardinality — see
@@ -93,7 +87,6 @@ impl Default for RunOptions {
             overflow: OverflowPolicy::Block,
             deadline_rounds: None,
             monitor: MonitorPolicy::Observe,
-            shards: 1,
             sketches: true,
         }
     }
@@ -135,15 +128,17 @@ impl RunOptions {
         self
     }
 
-    /// Sets the worker-shard count for the `*_sharded` run methods.
+    /// Compatibility shim: returns `self` unchanged — every run steps
+    /// on the one engine. Kept only because the benchmark package
+    /// (`eqpbench/`) still calls it; removed once the next benchmark
+    /// change drops that call.
     ///
     /// # Panics
     ///
     /// Panics if `n` is zero.
     #[must_use]
-    pub fn with_shards(mut self, n: usize) -> RunOptions {
+    pub fn with_shards(self, n: usize) -> RunOptions {
         assert!(n >= 1, "a run needs at least one shard");
-        self.shards = n;
         self
     }
 
@@ -350,6 +345,42 @@ impl Network {
         );
     }
 
+    /// The resume prologue shared by every `resume_*` entry point:
+    /// checks the checkpoint's arity against this network, restores each
+    /// process's state cell and the scheduler, and returns an engine over
+    /// the restored processes for the caller to load the checkpoint's
+    /// run state into.
+    fn restored_engine<S: Scheduler>(
+        &mut self,
+        ckpt: &Checkpoint,
+        sched: &mut S,
+        opts: RunOptions,
+    ) -> Result<Engine<'_>, SnapshotError> {
+        self.assert_live();
+        if ckpt.processes.len() != self.processes.len() {
+            return Err(SnapshotError::ArityMismatch {
+                expected: ckpt.processes.len(),
+                found: self.processes.len(),
+            });
+        }
+        for (i, cell) in ckpt.processes.iter().enumerate() {
+            let cell = cell
+                .as_ref()
+                .ok_or_else(|| SnapshotError::UnsupportedProcess {
+                    index: i,
+                    name: self.processes[i].name().to_owned(),
+                })?;
+            if !self.processes[i].restore(cell) {
+                return Err(SnapshotError::RestoreRejected {
+                    index: i,
+                    name: self.processes[i].name().to_owned(),
+                });
+            }
+        }
+        ckpt.restore_scheduler(sched)?;
+        Ok(Engine::new(&mut self.processes, ChanMap::default(), opts))
+    }
+
     /// Runs the network under `sched` until quiescence or the step bound.
     pub fn run<S: Scheduler>(&mut self, sched: &mut S, opts: RunOptions) -> RunResult {
         self.run_report(sched, opts).into_result()
@@ -398,29 +429,7 @@ impl Network {
         sched: &mut S,
         opts: RunOptions,
     ) -> Result<RunReport, SnapshotError> {
-        self.assert_live();
-        if ckpt.processes.len() != self.processes.len() {
-            return Err(SnapshotError::ArityMismatch {
-                expected: ckpt.processes.len(),
-                found: self.processes.len(),
-            });
-        }
-        for (i, cell) in ckpt.processes.iter().enumerate() {
-            let cell = cell
-                .as_ref()
-                .ok_or_else(|| SnapshotError::UnsupportedProcess {
-                    index: i,
-                    name: self.processes[i].name().to_owned(),
-                })?;
-            if !self.processes[i].restore(cell) {
-                return Err(SnapshotError::RestoreRejected {
-                    index: i,
-                    name: self.processes[i].name().to_owned(),
-                });
-            }
-        }
-        ckpt.restore_scheduler(sched)?;
-        let mut engine = Engine::new(&mut self.processes, ChanMap::default(), opts);
+        let mut engine = self.restored_engine(ckpt, sched, opts)?;
         engine.resume_from(ckpt);
         Ok(engine.run(sched))
     }
@@ -439,30 +448,8 @@ impl Network {
         sched: &mut S,
         opts: RunOptions,
     ) -> Result<RunReport, SnapshotError> {
-        self.assert_live();
         let ckpt = view.to_checkpoint();
-        if ckpt.processes.len() != self.processes.len() {
-            return Err(SnapshotError::ArityMismatch {
-                expected: ckpt.processes.len(),
-                found: self.processes.len(),
-            });
-        }
-        for (i, cell) in ckpt.processes.iter().enumerate() {
-            let cell = cell
-                .as_ref()
-                .ok_or_else(|| SnapshotError::UnsupportedProcess {
-                    index: i,
-                    name: self.processes[i].name().to_owned(),
-                })?;
-            if !self.processes[i].restore(cell) {
-                return Err(SnapshotError::RestoreRejected {
-                    index: i,
-                    name: self.processes[i].name().to_owned(),
-                });
-            }
-        }
-        ckpt.restore_scheduler(sched)?;
-        let mut engine = Engine::new(&mut self.processes, ChanMap::default(), opts);
+        let mut engine = self.restored_engine(&ckpt, sched, opts)?;
         engine.resume_from_owned(ckpt);
         Ok(engine.run(sched))
     }
@@ -482,29 +469,7 @@ impl Network {
         opts: RunOptions,
         at_step: usize,
     ) -> Result<(RunReport, Option<Checkpoint>), SnapshotError> {
-        self.assert_live();
-        if ckpt.processes.len() != self.processes.len() {
-            return Err(SnapshotError::ArityMismatch {
-                expected: ckpt.processes.len(),
-                found: self.processes.len(),
-            });
-        }
-        for (i, cell) in ckpt.processes.iter().enumerate() {
-            let cell = cell
-                .as_ref()
-                .ok_or_else(|| SnapshotError::UnsupportedProcess {
-                    index: i,
-                    name: self.processes[i].name().to_owned(),
-                })?;
-            if !self.processes[i].restore(cell) {
-                return Err(SnapshotError::RestoreRejected {
-                    index: i,
-                    name: self.processes[i].name().to_owned(),
-                });
-            }
-        }
-        ckpt.restore_scheduler(sched)?;
-        let mut engine = Engine::new(&mut self.processes, ChanMap::default(), opts);
+        let mut engine = self.restored_engine(ckpt, sched, opts)?;
         engine.resume_from(ckpt);
         engine.checkpoint_at = Some(at_step);
         let report = engine.run(sched);
@@ -731,173 +696,20 @@ impl Network {
         if ckpt.monitor.is_none() {
             return Err(SnapshotError::NoMonitor);
         }
-        if ckpt.processes.len() != self.processes.len() {
-            return Err(SnapshotError::ArityMismatch {
-                expected: ckpt.processes.len(),
-                found: self.processes.len(),
-            });
-        }
-        for (i, cell) in ckpt.processes.iter().enumerate() {
-            let cell = cell
-                .as_ref()
-                .ok_or_else(|| SnapshotError::UnsupportedProcess {
-                    index: i,
-                    name: self.processes[i].name().to_owned(),
-                })?;
-            if !self.processes[i].restore(cell) {
-                return Err(SnapshotError::RestoreRejected {
-                    index: i,
-                    name: self.processes[i].name().to_owned(),
-                });
-            }
-        }
-        ckpt.restore_scheduler(sched)?;
-        let mut engine = Engine::new(&mut self.processes, ChanMap::default(), opts);
+        let mut engine = self.restored_engine(ckpt, sched, opts)?;
         engine.resume_from(ckpt);
         Ok(engine.run_monitored(sched))
     }
 
-    /// Runs the network on the sharded multicore runtime
-    /// ([`crate::shard`]): processes are partitioned across
-    /// [`opts.shards`](RunOptions::shards) worker threads, stepped in
-    /// parallel epochs, and every observable effect commits in one
-    /// canonical order — the returned [`RunReport`] (trace, telemetry,
-    /// counters) is **byte-identical for every shard count**, including
-    /// the threadless 1-shard run.
-    ///
-    /// Requirements and caveats:
-    ///
-    /// * Every consuming process must declare its
-    ///   [`Process::inputs`] — sharded delivery routes sends by the
-    ///   declared consumer. An undeclared reader sees an empty channel.
-    /// * Bounded channels, fault injection, supervision, and reliable
-    ///   links are not supported (the single-threaded runner is).
-    /// * Per-step RNGs derive from `(seed, process, offer)`, so
-    ///   nondeterministic processes draw a different — equally
-    ///   reproducible — stream than under [`run_report`](Network::run_report);
-    ///   deterministic networks produce the same per-channel histories
-    ///   either way.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `opts.channel_capacity` is set.
+    /// Compatibility shim: calls [`run_report`](Network::run_report).
+    /// Kept only because the benchmark package (`eqpbench/`) still calls
+    /// it; removed once the next benchmark change drops that call.
     pub fn run_report_sharded<S: Scheduler>(
         &mut self,
         sched: &mut S,
         opts: RunOptions,
     ) -> RunReport {
-        self.assert_live();
-        crate::shard::run_sharded(
-            &mut self.processes,
-            sched,
-            opts,
-            crate::shard::ShardJob::default(),
-        )
-        .report
-    }
-
-    /// [`run_report_sharded`](Network::run_report_sharded) with an online
-    /// [`SmoothnessMonitor`] certifying the canonical trace against
-    /// `desc` as epochs commit. The verdict — like the report — is
-    /// byte-identical for every shard count. Under
-    /// [`MonitorPolicy::AbortOnViolation`] the run halts at the end of
-    /// the convicting *epoch* (the epoch boundary is canonical, so the
-    /// abort point is too).
-    pub fn run_report_sharded_monitored<S: Scheduler>(
-        &mut self,
-        desc: &Description,
-        sched: &mut S,
-        opts: RunOptions,
-    ) -> (RunReport, Conformance) {
-        self.assert_live();
-        let out = crate::shard::run_sharded(
-            &mut self.processes,
-            sched,
-            opts,
-            crate::shard::ShardJob {
-                monitor: Some((desc, opts.monitor)),
-                ..Default::default()
-            },
-        );
-        let conf = out
-            .conformance
-            .expect("a monitored sharded run yields a conformance");
-        (out.report, conf)
-    }
-
-    /// [`run_report_sharded`](Network::run_report_sharded) capturing a
-    /// whole-run [`Checkpoint`] at the first scheduler-round boundary
-    /// where the progress-step count has reached `at_step` (unlike the
-    /// single-threaded engine's exact mid-round capture: at a round
-    /// boundary every committed send is canonically queued, so arming a
-    /// checkpoint cannot perturb the run and the capture stays pure
-    /// observation). `None` if the run ends before such a boundary. The
-    /// checkpoint, too, is byte-identical for every shard count — resume
-    /// it with [`resume_report_sharded`](Network::resume_report_sharded)
-    /// on any shard count.
-    pub fn run_report_sharded_checkpointed<S: Scheduler>(
-        &mut self,
-        sched: &mut S,
-        opts: RunOptions,
-        at_step: usize,
-    ) -> (RunReport, Option<Checkpoint>) {
-        self.assert_live();
-        let out = crate::shard::run_sharded(
-            &mut self.processes,
-            sched,
-            opts,
-            crate::shard::ShardJob {
-                checkpoint_at: Some(at_step),
-                ..Default::default()
-            },
-        );
-        (out.report, out.captured)
-    }
-
-    /// Restores a checkpoint captured by
-    /// [`run_report_sharded_checkpointed`](Network::run_report_sharded_checkpointed)
-    /// into this (identically built) network and scheduler and continues
-    /// the run sharded. The resumed run — on *any* shard count — is
-    /// byte-identical to the uninterrupted sharded run. `opts.seed` is
-    /// ignored (per-step seeds reconstruct from the checkpointed RNG).
-    pub fn resume_report_sharded<S: Scheduler>(
-        &mut self,
-        ckpt: &Checkpoint,
-        sched: &mut S,
-        opts: RunOptions,
-    ) -> Result<RunReport, SnapshotError> {
-        self.assert_live();
-        if ckpt.processes.len() != self.processes.len() {
-            return Err(SnapshotError::ArityMismatch {
-                expected: ckpt.processes.len(),
-                found: self.processes.len(),
-            });
-        }
-        for (i, cell) in ckpt.processes.iter().enumerate() {
-            let cell = cell
-                .as_ref()
-                .ok_or_else(|| SnapshotError::UnsupportedProcess {
-                    index: i,
-                    name: self.processes[i].name().to_owned(),
-                })?;
-            if !self.processes[i].restore(cell) {
-                return Err(SnapshotError::RestoreRejected {
-                    index: i,
-                    name: self.processes[i].name().to_owned(),
-                });
-            }
-        }
-        ckpt.restore_scheduler(sched)?;
-        Ok(crate::shard::run_sharded(
-            &mut self.processes,
-            sched,
-            opts,
-            crate::shard::ShardJob {
-                resume: Some(ckpt),
-                ..Default::default()
-            },
-        )
-        .report)
+        self.run_report(sched, opts)
     }
 }
 
@@ -1421,8 +1233,6 @@ impl<'a> Engine<'a> {
                 Some(reliables.as_mut_slice())
             },
             flow: if flow_armed { flow.as_mut() } else { None },
-            shard_out: None,
-            visible: None,
         };
         let r = procs[i].step(&mut ctx);
         // a diverging replay abandons itself (ops cleared) and records
@@ -1929,7 +1739,7 @@ impl<'a> Engine<'a> {
 /// progress during the probe may have advanced internal state, which is
 /// harmless because the run is over either way (the network must not be
 /// re-run after hitting the bound).
-pub(crate) fn probe_quiescent(
+fn probe_quiescent(
     processes: &mut [Box<dyn Process>],
     crashed: &[bool],
     queues: &mut ChanMap<VecDeque<Value>>,

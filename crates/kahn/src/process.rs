@@ -65,18 +65,6 @@ pub struct StepCtx<'a> {
     /// capacity configuration plus the per-step transaction that lets
     /// the engine roll a blocked step back.
     pub(crate) flow: Option<&'a mut FlowControl>,
-    /// Sharded-run send interception ([`crate::shard`]): when set, sends
-    /// are collected here instead of being delivered — the coordinator
-    /// commits them (trace, queues, telemetry) in canonical epoch order.
-    pub(crate) shard_out: Option<&'a mut Vec<(Chan, Value)>>,
-    /// Sharded 1-shard (inline) backend: per-channel visibility
-    /// watermarks implementing the epoch protocol's bulk-synchronous
-    /// delivery rule directly on the canonical queues. Reads see only
-    /// the watermarked prefix of each queue; sends append past the
-    /// watermark (invisible until the next epoch flush raises it), and
-    /// consumer attribution happens only on successful pops — exactly
-    /// the threaded commit path's observable behavior.
-    pub(crate) visible: Option<&'a mut ChanMap<usize>>,
 }
 
 /// Bounded-channel flow control: the run's capacity configuration plus
@@ -146,8 +134,6 @@ impl<'a> StepCtx<'a> {
             links: None,
             reliables: None,
             flow: None,
-            shard_out: None,
-            visible: None,
         }
     }
 
@@ -173,10 +159,6 @@ impl<'a> StepCtx<'a> {
     /// recorded depth is served instead of the live one, so a restored
     /// process re-takes exactly the branches it took before the crash.
     pub fn available(&mut self, c: Chan) -> usize {
-        if let Some(vis) = self.visible.as_deref() {
-            // sharded inline mode: only the previous-epoch prefix counts
-            return vis.get(&c).copied().unwrap_or(0);
-        }
         if let Some(r) = self.replay.as_deref_mut() {
             if let Some(op) = r.ops.pop_front() {
                 match op {
@@ -194,15 +176,6 @@ impl<'a> StepCtx<'a> {
 
     /// Looks at the `i`-th waiting message on `c` without consuming it.
     pub fn peek(&mut self, c: Chan, i: usize) -> Option<Value> {
-        if let Some(vis) = self.visible.as_deref() {
-            // sharded inline mode: peeks stop at the watermark and go
-            // unmetered, like the threaded workers (whose results carry
-            // no peek information back to the commit)
-            if vis.get(&c).is_none_or(|&a| i >= a) {
-                return None;
-            }
-            return self.queues.get(&c).and_then(|q| q.get(i)).copied();
-        }
         if let Some(t) = self.telemetry.as_deref_mut() {
             t.note_consumer(c, self.current);
         }
@@ -223,23 +196,6 @@ impl<'a> StepCtx<'a> {
 
     /// Consumes the head message of `c`.
     pub fn pop(&mut self, c: Chan) -> Option<Value> {
-        if let Some(vis) = self.visible.as_deref_mut() {
-            // Sharded inline mode: only the flushed prefix is poppable,
-            // and — matching the threaded commit path, which meters from
-            // the pops workers actually made — consumer attribution
-            // happens only on success.
-            match vis.get_mut(&c) {
-                Some(a) if *a > 0 => *a -= 1,
-                _ => return None,
-            }
-            let v = self.queues.get_mut(&c).and_then(VecDeque::pop_front);
-            debug_assert!(v.is_some(), "visibility watermark exceeded the queue");
-            if let Some(t) = self.telemetry.as_deref_mut() {
-                t.note_consumer(c, self.current);
-                t.note_receive(c);
-            }
-            return v;
-        }
         if let Some(t) = self.telemetry.as_deref_mut() {
             t.note_consumer(c, self.current);
         }
@@ -301,12 +257,6 @@ impl<'a> StepCtx<'a> {
         }
         if let Some(j) = self.journal.as_deref_mut() {
             j.ops.push(Op::Sent(c, v));
-        }
-        if let Some(out) = self.shard_out.as_deref_mut() {
-            // sharded run: the send commits canonically at the epoch
-            // boundary — no local delivery, no local send meter
-            out.push((c, v));
-            return;
         }
         if let Some(rels) = self.reliables.as_deref_mut() {
             if let Some(link) = rels.iter_mut().find(|l| l.chan() == c) {
@@ -483,10 +433,13 @@ impl RngCore for JournaledRng<'_, '_> {
 /// by the supervisor if it supports [`reset`](Process::reset)
 /// (replay-from-genesis).
 ///
-/// Processes are `Send` so the sharded runtime ([`crate::shard`]) can
-/// partition them across worker threads; a process owns its state
-/// outright (channels are the only communication medium), so this costs
-/// nothing in practice.
+/// Processes are `Send` so a built [`Network`](crate::Network) can move
+/// between threads — the shape of `eqpd`'s worker pool, where a parked
+/// `SessionRun` resumes on whichever worker thread picks it up next
+/// (today it parks a [`Checkpoint`](crate::Checkpoint) and rebuilds the
+/// network there; the bound keeps handing over a live network possible).
+/// A process owns its state outright (channels are the only
+/// communication medium), so this costs nothing in practice.
 pub trait Process: Send {
     /// Diagnostic name.
     fn name(&self) -> &str;

@@ -312,7 +312,7 @@ pub struct RunReport {
     /// (queue-depth and latency quantiles, heavy-hitter channels,
     /// distinct-value cardinality). `None` iff sketch capture was
     /// disabled via [`RunOptions::sketches`](crate::RunOptions).
-    /// Summaries from separate runs, shards, or resumed segments merge
+    /// Summaries from separate runs or resumed segments merge
     /// exactly ([`TelemetrySketches::merge`]).
     pub sketches: Option<TelemetrySketches>,
 }
@@ -389,7 +389,7 @@ impl RunReport {
     /// Complements the exact per-channel meters: the meters give exact
     /// totals and high-water marks, the sketches give the distribution
     /// between those extremes — and, unlike the meters, merge exactly
-    /// across shards, resumed segments, and fleet members.
+    /// across resumed segments and fleet members.
     pub fn sketch_stats(&self) -> Option<SketchStats> {
         self.sketches
             .as_ref()
@@ -677,14 +677,12 @@ pub(crate) struct Telemetry {
     /// capture, commit, and report boundaries).
     pub(crate) staged: Vec<SketchObs>,
     /// When set, observations insert into the sketches directly instead
-    /// of staging. Everything except bounded-mode runs qualifies: the
-    /// plain engine with flow control disarmed has no rollback, and the
-    /// sharded coordinator already applies slot results (and thus its
-    /// telemetry notes) in canonical plan order with no rollback either.
-    /// Only the plain engine with `channel_capacity` set must stage,
-    /// because a blocked step rolls back and sketch inserts cannot be
-    /// undone. Purely an execution-mode flag: excluded from `Debug` (and
-    /// thus from checkpoint fingerprints), reset by every resume path.
+    /// of staging. Everything except bounded-mode runs qualifies: with
+    /// flow control disarmed the engine has no rollback. Only runs with
+    /// `channel_capacity` set must stage, because a blocked step rolls
+    /// back and sketch inserts cannot be undone. Purely an
+    /// execution-mode flag: excluded from `Debug` (and thus from
+    /// checkpoint fingerprints), reset by every resume path.
     pub(crate) direct: bool,
 }
 

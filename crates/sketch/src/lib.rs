@@ -1,10 +1,10 @@
 //! Mergeable telemetry sketches for fleet-scale run reports.
 //!
 //! The workspace's central discipline is algebraic: traces compose by
-//! laws, sharded runs must commute with placement, and resumed runs must
-//! agree with uninterrupted ones byte for byte. This crate extends that
-//! discipline to *telemetry*. A fleet-level roll-up of per-run summaries
-//! is only trustworthy if the summary type forms a commutative monoid —
+//! laws, and resumed runs must agree with uninterrupted ones byte for
+//! byte. This crate extends that discipline to *telemetry*. A
+//! fleet-level roll-up of per-run summaries is only trustworthy if the
+//! summary type forms a commutative monoid —
 //! merging worker-local, per-segment, or per-session sketches in any
 //! order (and any grouping) must yield the same answer as observing the
 //! union stream directly.

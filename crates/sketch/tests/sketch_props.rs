@@ -2,11 +2,10 @@
 //! commutativity, identity, merge-equals-bulk, and error bounds at
 //! adversarial distributions.
 //!
-//! These are the laws the fleet roll-up leans on: worker-local sketches
-//! merged at epoch commit, per-segment sketches rolled up across
-//! resumes, and per-session summaries merged by the `fleet_report` RPC
-//! must all equal the sketch of the union stream — independent of
-//! partition, order, and grouping.
+//! These are the laws the fleet roll-up leans on: per-segment sketches
+//! rolled up across resumes and per-session summaries merged by the
+//! `fleet_report` RPC must all equal the sketch of the union stream —
+//! independent of partition, order, and grouping.
 
 use eqp_sketch::{splitmix64, HeavyHitters, Hll, QuantileSketch, SketchConfig, TelemetrySketches};
 use proptest::prelude::*;
@@ -71,9 +70,9 @@ proptest! {
         prop_assert_eq!(&from_empty, &a);
     }
 
-    /// Sharded build ≡ single-stream build, exactly: split the stream
-    /// into `shards` round-robin substreams (what worker-local capture
-    /// does), merge in plan order, compare to the bulk sketch.
+    /// Partitioned build ≡ single-stream build, exactly: split the
+    /// stream into `shards` round-robin substreams, merge in order,
+    /// compare to the bulk sketch.
     #[test]
     fn quantile_merge_equals_bulk(seed in 0u64..500, skew in 0u8..3, shards in 1usize..9) {
         let vals = stream(seed, 600, skew);

@@ -22,9 +22,9 @@ use eqp::kahn::{
 };
 use eqp::processes::bag;
 use eqp::processes::zoo::{conformance_zoo, ZooEntry};
-use eqp::seqfn::paper::ch;
+use eqp::seqfn::paper::{ch, twice};
 use eqp::seqfn::SeqExpr;
-use eqp::trace::{Chan, Value};
+use eqp::trace::{Chan, Lasso, Value};
 
 fn schedulers(seed: u64) -> Vec<Box<dyn Scheduler>> {
     vec![
@@ -349,4 +349,51 @@ fn unmonitored_checkpoints_refuse_monitored_resume() {
         .resume_report_monitored(&ckpt, &mut RoundRobin::new(), opts)
         .expect_err("monitored resume from an unmonitored checkpoint");
     assert_eq!(err, eqp::kahn::SnapshotError::NoMonitor);
+}
+
+/// A 220-channel wide network — 110 parallel source → doubler lanes —
+/// certified by the online monitor. Channel ids run past 128, so the
+/// compiled support masks overflow and the exact-`ChanSet` fallback
+/// carries the monitor's channel bookkeeping.
+#[test]
+fn wide_network_past_the_support_mask_certifies_online_and_posthoc() {
+    const LANES: usize = 110;
+    let lane = |k: usize| {
+        let feed: Vec<Value> = (1..=3).map(|v| Value::Int(v + k as i64)).collect();
+        (Chan::new(2 * k as u32), Chan::new(2 * k as u32 + 1), feed)
+    };
+    let mut net = Network::new();
+    let mut desc = Description::new("wide-lanes");
+    for k in 0..LANES {
+        let (input, output, feed) = lane(k);
+        net.add(procs::Source::new(format!("env-{k}"), input, feed.clone()));
+        net.add(procs::Apply::int_affine(
+            format!("double-{k}"),
+            input,
+            output,
+            2,
+            0,
+        ));
+        desc = desc
+            .defines(input, SeqExpr::constant(Lasso::finite(feed)))
+            .defines(output, twice(ch(input)));
+    }
+    assert!(
+        desc.channels().iter().max().map_or(0, |c| c.index()) >= 200,
+        "the wide network must spill past the 128-bit support mask"
+    );
+    let opts = RunOptions {
+        max_steps: 2000,
+        seed: 21,
+        ..RunOptions::default()
+    };
+    let (report, online) = net.run_report_monitored(&desc, &mut RandomSched::new(21), opts);
+    assert!(report.quiescent, "the wide network must quiesce");
+    assert_eq!(
+        online.verdict,
+        Verdict::SmoothSolution,
+        "the wide network must certify as a solution: {online}"
+    );
+    let posthoc = check_report(&desc, &report, &ConformanceOptions::default());
+    assert_conformance_eq("wide-lanes", &online, &posthoc);
 }

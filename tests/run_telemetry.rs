@@ -1,7 +1,9 @@
 //! Run telemetry: starvation and bottleneck detection, runtime
-//! single-consumer enforcement, and the report's human-readable summary.
+//! single-consumer enforcement, the report's human-readable summary, and
+//! inline sketch capture.
 
 use eqp::kahn::{procs, Network, RoundRobin, RunOptions, StepResult};
+use eqp::processes::zoo::conformance_zoo;
 use eqp::trace::{Chan, Value};
 
 const L: Chan = Chan::new(240);
@@ -100,5 +102,29 @@ fn well_wired_networks_report_no_violations() {
         report.rounds >= 4,
         "at least 3 productive rounds + the quiescence round, got {}",
         report.rounds
+    );
+}
+
+#[test]
+fn every_zoo_run_that_steps_carries_observed_sketches() {
+    let mut with_sketches = 0usize;
+    for entry in conformance_zoo() {
+        let (report, _) = entry.certify(&mut RoundRobin::new(), 17);
+        if report.steps == 0 {
+            continue;
+        }
+        let stats = report
+            .sketch_stats()
+            .unwrap_or_else(|| panic!("{}: active run must carry sketches", entry.name));
+        assert!(
+            stats.events > 0,
+            "{}: sketches must have observed the run",
+            entry.name
+        );
+        with_sketches += 1;
+    }
+    assert!(
+        with_sketches >= 10,
+        "the sketch check must exercise most of the zoo, got {with_sketches}"
     );
 }
