@@ -13,7 +13,11 @@
 //! freshly appended positions — amortized O(1) per event. The compiled
 //! channel masks sharpen this further: a pair whose `f` side provably
 //! ignores an event skips the check outright (sound once `f(ε) ⊑ g(ε)` is
-//! established — see `PairState::base_ok`). The limit condition
+//! established — see `PairState::base_ok`). A channel index built once
+//! per description (`Routing`) applies the same locality to whole pairs:
+//! an event reaches only the pairs whose sides read its channel, so both
+//! the per-event and the batch paths cost O(readers), not O(equations),
+//! per event. The limit condition
 //! `f(t) = g(t)` is certified once at quiescence from the final states,
 //! so no prefix is ever re-walked.
 //!
@@ -36,7 +40,8 @@ use eqp_core::diagnose::{LimitVerdict, SmoothReport, SmoothnessViolation};
 use eqp_core::Description;
 use eqp_seqfn::compile::{batch_advance, step_check};
 use eqp_seqfn::{CompiledExpr, CompiledSideEval};
-use eqp_trace::{ChanSet, Event, Seq, Trace};
+use eqp_trace::{Chan, ChanSet, Event, Seq, Trace};
+use std::sync::Arc;
 
 /// What the engine does when the monitor observes a smoothness violation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -89,6 +94,146 @@ impl PairState {
             base_ok,
         }
     }
+
+    /// The exact per-event step: advances both sides by `ev` and, when
+    /// `checking`, checks `f(u·ev) ⊑ g(u)`. Returns the violating
+    /// `(f(v), g(u))` on a failed check.
+    fn feed(&mut self, ev: Event, checking: bool) -> Option<(Seq, Seq)> {
+        if self.base_ok && !self.f.reads(ev.chan) {
+            // `f` provably appends nothing on this event, so the pair's
+            // check `f(u·e) ⊑ g(u)` collapses to the invariant
+            // `f(u) ⊑ g(u)` already established (base case: `base_ok`;
+            // step case: `g`'s output only grows). Keep `g` current and
+            // move on — the skipped check would provably pass, so
+            // first-violation ordering is untouched.
+            if self.g.reads(ev.chan) {
+                self.g.step(ev);
+            }
+            return None;
+        }
+        let frozen = self.g.freeze();
+        self.f.step(ev);
+        self.g.step(ev);
+        if checking && !step_check(&self.f, &self.g, &frozen, &mut self.verified) {
+            return Some((self.f.value(), self.g.frozen_value(&frozen)));
+        }
+        None
+    }
+}
+
+/// Merges two ascending position lists into `out`.
+fn merge_into(a: &[usize], b: &[usize], out: &mut Vec<usize>) {
+    out.clear();
+    out.reserve(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        if a[i] < b[j] {
+            out.push(a[i]);
+            i += 1;
+        } else {
+            out.push(b[j]);
+            j += 1;
+        }
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+}
+
+/// Channel → slot lookup over the visible channel set: a dense table
+/// indexed by channel id when the ids are compact (every netlang and zoo
+/// network), else binary search over the sorted visible channels.
+#[derive(Debug)]
+enum SlotTable {
+    /// `table[c.index()]` is `c`'s slot, or [`SlotTable::NONE`].
+    Dense(Vec<u32>),
+    /// The visible channels, sorted; a channel's slot is its position.
+    Sparse(Vec<Chan>),
+}
+
+impl SlotTable {
+    const NONE: u32 = u32::MAX;
+
+    fn new(keep: &ChanSet) -> SlotTable {
+        let chans: Vec<Chan> = keep.iter().collect();
+        let span = chans.last().map_or(0, |c| c.index() as usize + 1);
+        if span > 4 * chans.len() + 1024 {
+            return SlotTable::Sparse(chans);
+        }
+        let mut table = vec![Self::NONE; span];
+        for (s, c) in chans.iter().enumerate() {
+            table[c.index() as usize] = s as u32;
+        }
+        SlotTable::Dense(table)
+    }
+
+    /// The slot of `c`, or `None` when the projection drops it.
+    #[inline]
+    fn slot(&self, c: Chan) -> Option<usize> {
+        match self {
+            SlotTable::Dense(table) => match table.get(c.index() as usize) {
+                Some(&s) if s != Self::NONE => Some(s as usize),
+                _ => None,
+            },
+            SlotTable::Sparse(chans) => chans.binary_search(&c).ok(),
+        }
+    }
+}
+
+/// Which pairs each visible channel reaches — a pure function of the
+/// description and the visible set, derived once at
+/// [`SmoothnessMonitor::new`] and shared by every clone (never checkpoint
+/// state). An event on a channel neither side of a pair reads changes
+/// neither side, so once a pair's entry invariant holds its check on such
+/// an event collapses to the one already made: only the pair's readers
+/// need to see the event.
+#[derive(Debug)]
+struct Routing {
+    slots: SlotTable,
+    /// Per pair: the ascending slots of the visible channels its `f` or
+    /// `g` side reads ([`CompiledExpr::channels`]).
+    pair_slots: Vec<Vec<usize>>,
+    /// Per slot (one per visible channel): the ascending pairs whose `f`
+    /// or `g` side reads it.
+    readers: Vec<Vec<usize>>,
+    /// Pairs whose base case `f(ε) ⊑ g(ε)` fails: their check must run on
+    /// every event, read or not, so the first one can fail.
+    unbased: Vec<usize>,
+    /// Every side of every pair runs on the incremental path.
+    incremental: bool,
+}
+
+impl Routing {
+    fn new(keep: &ChanSet, sides: &[(CompiledExpr, CompiledExpr)], pairs: &[PairState]) -> Self {
+        let slots = SlotTable::new(keep);
+        let mut readers = vec![Vec::new(); keep.len()];
+        let pair_slots: Vec<Vec<usize>> = sides
+            .iter()
+            .enumerate()
+            .map(|(k, (f, g))| {
+                let mut read: Vec<usize> = f
+                    .channels()
+                    .iter()
+                    .chain(g.channels().iter())
+                    .filter_map(|c| slots.slot(c))
+                    .collect();
+                read.sort_unstable();
+                read.dedup();
+                for &s in &read {
+                    readers[s].push(k);
+                }
+                read
+            })
+            .collect();
+        Routing {
+            slots,
+            pair_slots,
+            readers,
+            unbased: (0..pairs.len()).filter(|&k| !pairs[k].base_ok).collect(),
+            incremental: pairs
+                .iter()
+                .all(|p| p.f.is_incremental() && p.g.is_incremental()),
+        }
+    }
 }
 
 /// An online smoothness monitor over one [`Description`].
@@ -113,7 +258,8 @@ pub struct SmoothnessMonitor {
     /// The compiled equation sides (cheap `Arc` handles) — kept so a dirty
     /// fused batch can rebuild fresh evaluators and replay exactly.
     sides: Vec<(CompiledExpr, CompiledExpr)>,
-    keep: ChanSet,
+    /// The visible-channel projection and the channel → pairs index.
+    routing: Arc<Routing>,
     policy: MonitorPolicy,
     pairs: Vec<PairState>,
     events: Vec<Event>,
@@ -132,12 +278,13 @@ impl SmoothnessMonitor {
             .cloned()
             .zip(desc.rhs_compiled().iter().cloned())
             .collect();
-        let pairs = sides.iter().map(|(f, g)| PairState::new(f, g)).collect();
+        let pairs: Vec<PairState> = sides.iter().map(|(f, g)| PairState::new(f, g)).collect();
+        let routing = Arc::new(Routing::new(&keep, &sides, &pairs));
         SmoothnessMonitor {
             name: desc.name().to_owned(),
             equations: desc.equations_rendered().to_vec(),
             sides,
-            keep,
+            routing,
             policy,
             pairs,
             events: Vec::new(),
@@ -158,9 +305,7 @@ impl SmoothnessMonitor {
     /// True iff every side of every component equation is running on the
     /// incremental fast path (no full re-evaluation per event).
     pub fn fully_incremental(&self) -> bool {
-        self.pairs
-            .iter()
-            .all(|p| p.f.is_incremental() && p.g.is_incremental())
+        self.routing.incremental
     }
 
     /// The first smoothness violation's component index, if one has been
@@ -178,40 +323,37 @@ impl SmoothnessMonitor {
     /// violation the monitor keeps stepping its evaluator states (the
     /// limit condition still needs the full trace) but checks nothing
     /// further, mirroring `diagnose`'s first-violation semantics.
+    ///
+    /// Cost: O(1) projection plus O(1) amortized work per pair that reads
+    /// `ev`'s channel (and per pair whose base case failed) — pairs that
+    /// read neither side of the event are never visited.
     pub fn feed(&mut self, ev: Event) -> Option<usize> {
-        if !self.keep.contains(ev.chan) {
-            return None;
-        }
+        let slot = self.routing.slots.slot(ev.chan)?;
         let at = self.events.len();
         self.events.push(ev);
         // After the first violation the monitor only keeps its states
         // current (the limit condition still needs the full trace),
         // mirroring `diagnose`'s first-violation semantics.
         let checking = self.violation.is_none();
+        let routing = &*self.routing;
         // (component, f(v), frozen g(u)) of this event's conviction, if
         // any — the lowest component index wins, matching `diagnose`.
         let mut convicted: Option<(usize, Seq, Seq)> = None;
-        for (k, pair) in self.pairs.iter_mut().enumerate() {
-            if pair.base_ok && !pair.f.reads(ev.chan) {
-                // `f` provably appends nothing on this event, so the
-                // pair's check `f(u·e) ⊑ g(u)` collapses to the invariant
-                // `f(u) ⊑ g(u)` already established (base case: `base_ok`;
-                // step case: `g`'s output only grows). Keep `g` current
-                // and move on — the skipped check would provably pass, so
-                // first-violation ordering is untouched.
-                if pair.g.reads(ev.chan) {
-                    pair.g.step(ev);
+        let mut visit = |k: usize, pair: &mut PairState| {
+            if let Some((lhs_v, rhs_u)) = pair.feed(ev, checking) {
+                if convicted.as_ref().is_none_or(|(j, ..)| k < *j) {
+                    convicted = Some((k, lhs_v, rhs_u));
                 }
-                continue;
             }
-            let frozen = pair.g.freeze();
-            pair.f.step(ev);
-            pair.g.step(ev);
-            if checking
-                && !step_check(&pair.f, &pair.g, &frozen, &mut pair.verified)
-                && convicted.is_none()
-            {
-                convicted = Some((k, pair.f.value(), pair.g.frozen_value(&frozen)));
+        };
+        for &k in &routing.readers[slot] {
+            visit(k, &mut self.pairs[k]);
+        }
+        // A pair whose base case failed is checked on every event; the
+        // readers loop already covered those that read this channel.
+        for &k in &routing.unbased {
+            if routing.pair_slots[k].binary_search(&slot).is_err() {
+                visit(k, &mut self.pairs[k]);
             }
         }
         let (k, lhs_v, rhs_u) = convicted?;
@@ -234,15 +376,19 @@ impl SmoothnessMonitor {
     /// component index)`.
     ///
     /// Large fully-incremental batches (the engine's lazy Observe drain)
-    /// take a fused fast path: each pair steps the whole batch in one
-    /// tight loop with only the O(1) *length* half of the per-step check
-    /// inline, and the value half — comparing `f`'s appended tail against
-    /// `g`'s output — deferred to a single slice compare per pair. Both
-    /// outputs are append-only, so a position compares equal at the end
-    /// iff it compared equal the step it appeared: the deferred pass
-    /// accepts exactly the batches the per-event loop accepts. Any pair
-    /// that looks dirty triggers an exact per-event replay from a
-    /// pre-batch snapshot to recover the precise first violation.
+    /// take a fused fast path in O(batch + equations + visible channels)
+    /// plus O(1) amortized per (event, reading pair): the batch is
+    /// projected and bucketed by channel once, and each pair steps only
+    /// the merged, in-order events of the channels its sides read (a
+    /// two-way merge for the common chain×chain pair), with only the O(1)
+    /// *length* half of the per-step check inline. The value half —
+    /// comparing `f`'s appended tail against `g`'s output — is deferred to
+    /// a single slice compare per pair. Both outputs are append-only, so a
+    /// position compares equal at the end iff it compared equal the step
+    /// it appeared: the deferred pass accepts exactly the batches the
+    /// per-event loop accepts. Any pair that looks dirty triggers an exact
+    /// per-event replay from a pre-batch snapshot to recover the precise
+    /// first violation.
     pub fn feed_batch(&mut self, evs: &[Event]) -> Option<usize> {
         if evs.len() >= 8 && self.fully_incremental() {
             return self.feed_batch_fused(evs);
@@ -259,21 +405,59 @@ impl SmoothnessMonitor {
     /// The fused batch drain. Requires every side on the incremental
     /// path (`delta_out` available).
     fn feed_batch_fused(&mut self, evs: &[Event]) -> Option<usize> {
+        let routing = &*self.routing;
         let start = self.events.len();
+        // Project, remembering each kept event's slot, and count each
+        // slot's events: `offset[s]..offset[s + 1]` becomes slot `s`'s
+        // bucket.
         self.events.reserve(evs.len());
+        let mut slot_of = Vec::with_capacity(evs.len());
+        let width = routing.readers.len();
+        let mut offset = vec![0usize; width + 1];
         for &ev in evs {
-            if self.keep.contains(ev.chan) {
+            if let Some(s) = routing.slots.slot(ev.chan) {
                 self.events.push(ev);
+                slot_of.push(s);
+                offset[s + 1] += 1;
             }
         }
-        if self.events.len() == start {
+        if slot_of.is_empty() {
             return None;
         }
+        for s in 0..width {
+            offset[s + 1] += offset[s];
+        }
+        // Counting sort: each bucket lists its events' batch positions in
+        // ascending order.
+        let mut cursor = offset.clone();
+        let mut pos = vec![0usize; slot_of.len()];
+        for (i, &s) in slot_of.iter().enumerate() {
+            pos[cursor[s]] = i;
+            cursor[s] += 1;
+        }
+        let bucket = |s: usize| &pos[offset[s]..offset[s + 1]];
         let checking = self.violation.is_none();
         let new = &self.events[start..];
+        let mut merged = Vec::new();
         let mut clean = true;
-        for pair in self.pairs.iter_mut() {
-            let lengths_ok = batch_advance(&mut pair.f, &mut pair.g, new);
+        for (pair, read) in self.pairs.iter_mut().zip(&routing.pair_slots) {
+            let at: &[usize] = match read[..] {
+                [] => &[],
+                [s] => bucket(s),
+                [a, b] => {
+                    merge_into(bucket(a), bucket(b), &mut merged);
+                    &merged
+                }
+                _ => {
+                    merged.clear();
+                    for &s in read {
+                        merged.extend_from_slice(bucket(s));
+                    }
+                    merged.sort_unstable();
+                    &merged
+                }
+            };
+            let lengths_ok = batch_advance(&mut pair.f, &mut pair.g, new, at);
             if !checking {
                 continue;
             }
@@ -380,6 +564,7 @@ mod tests {
     use super::*;
     use crate::conformance::{check_trace, ConformanceOptions};
     use eqp_seqfn::paper::{ch, even, odd};
+    use eqp_seqfn::SeqExpr;
     use eqp_trace::Chan;
 
     fn b() -> Chan {
@@ -517,6 +702,31 @@ mod tests {
         assert_eq!(a.verdict, b.verdict);
         assert_eq!(a.report, b.report);
         assert_eq!(a.checked, b.checked);
+    }
+
+    #[test]
+    fn batch_drain_steps_each_pair_in_event_order() {
+        // `c2 ⟸ c0 + c1` read from three buckets: the output on c2 comes
+        // before the inputs that justify it, so only the interleaving —
+        // not the final values, which agree — convicts. A drain that
+        // stepped the buckets one after another would miss it.
+        let (c0, c1, c2) = (b(), c(), d());
+        let desc = Description::new("sum")
+            .defines(c0, SeqExpr::const_ints([1, 2, 3, 4]))
+            .defines(c1, SeqExpr::const_ints([10, 20, 30, 40]))
+            .defines(c2, SeqExpr::add(ch(c0), ch(c1)));
+        let mut events = vec![Event::int(c2, 11)];
+        for (x, y) in [(1, 10), (2, 20), (3, 30), (4, 40)] {
+            events.extend([Event::int(c0, x), Event::int(c1, y)]);
+        }
+        events.extend([22, 33, 44].map(|n| Event::int(c2, n)));
+        let mut exact = SmoothnessMonitor::new(&desc, None, MonitorPolicy::Observe);
+        feed_all(&mut exact, &events);
+        assert_eq!(exact.violation_component(), Some(2));
+        let mut batched = SmoothnessMonitor::new(&desc, None, MonitorPolicy::Observe);
+        assert!(events.len() >= 8, "long enough for the fused drain");
+        batched.feed_batch(&events);
+        assert_eq!(batched.report(), exact.report());
     }
 
     #[test]

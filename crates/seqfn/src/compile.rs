@@ -1678,13 +1678,20 @@ impl CompiledSideEval {
     }
 }
 
-/// Advances both sides of one component equation over a whole
-/// (pre-projected) event batch, returning `true` iff the *length* half of
-/// every per-event check held: `|f(u·e)| ≤ |g(u)|` at each event, with the
-/// invariant `|f| ≤ |g|` also required at batch entry. The caller defers
-/// the *value* half to one prefix compare over the appended tails — both
-/// outputs are append-only, so a position compares equal at batch end iff
-/// it compared equal the step it appeared.
+/// Advances both sides of one component equation over the events
+/// `evs[i]` for `i` in `at` (ascending batch positions), returning `true`
+/// iff the *length* half of every per-event check held: `|f| ≤ |g|` at
+/// entry, then `|f(u·e)| ≤ |g(u)|` at each stepped event. The caller
+/// defers the *value* half to one prefix compare over the appended tails —
+/// both outputs are append-only, so a position compares equal at batch end
+/// iff it compared equal the step it appeared.
+///
+/// `at` needs to list only the events on channels `f` or `g` reads: any
+/// other event changes neither side, so with the entry invariant its check
+/// `|f(u)| ≤ |g(u)|` is implied by the last stepped one (or by the entry
+/// check). Cost: O(|at|) amortized, independent of the batch length; the
+/// monitor buckets each batch by channel once so that, summed over all
+/// pairs, a drain costs O(batch + Σ pairs' read events).
 ///
 /// A `false` return is a conviction *hint*, not a verdict: the caller
 /// replays the batch through the exact per-event path to place the first
@@ -1694,7 +1701,12 @@ impl CompiledSideEval {
 /// The dominant chain×chain shape (every fused zoo equation) is matched
 /// once up front and runs a dispatch-free loop: two channel compares and
 /// the scalar stage thread per event.
-pub fn batch_advance(f: &mut CompiledSideEval, g: &mut CompiledSideEval, evs: &[Event]) -> bool {
+pub fn batch_advance(
+    f: &mut CompiledSideEval,
+    g: &mut CompiledSideEval,
+    evs: &[Event],
+    at: &[usize],
+) -> bool {
     match (f, g) {
         (
             CompiledSideEval::Delta {
@@ -1726,13 +1738,14 @@ pub fn batch_advance(f: &mut CompiledSideEval, g: &mut CompiledSideEval, evs: &[
             // One growth apiece up front: a chain appends at most one
             // value per event, and the bottom outputs are exact-sized, so
             // without this every side pays a realloc ladder mid-batch.
-            fo.reserve(evs.len());
-            go.reserve(evs.len());
+            fo.reserve(at.len());
+            go.reserve(at.len());
             // Entry invariant: with it, events `f` ignores can't break the
             // length condition (g only grows), so only f-growth points are
             // checked — the same induction as the monitor's base_ok skip.
             let mut ok = fo.len() <= go.len();
-            for &ev in evs {
+            for &i in at {
+                let ev = evs[i];
                 let gl = go.len();
                 if ev.chan == fc {
                     chain_step(fops, ev.value, fo);
@@ -1748,10 +1761,11 @@ pub fn batch_advance(f: &mut CompiledSideEval, g: &mut CompiledSideEval, evs: &[
             CompiledSideEval::Delta { state: fs, out: fo },
             CompiledSideEval::Delta { state: gs, out: go },
         ) => {
-            fo.reserve(evs.len());
-            go.reserve(evs.len());
-            let mut ok = true;
-            for &ev in evs {
+            // Entry invariant, as above: it stands in for the checks on
+            // the events `at` leaves out.
+            let mut ok = fo.len() <= go.len();
+            for &i in at {
+                let ev = evs[i];
                 let gl = go.len();
                 fs.step_into(ev, fo);
                 gs.step_into(ev, go);
@@ -1760,9 +1774,9 @@ pub fn batch_advance(f: &mut CompiledSideEval, g: &mut CompiledSideEval, evs: &[
             ok
         }
         (f, g) => {
-            for &ev in evs {
-                f.step(ev);
-                g.step(ev);
+            for &i in at {
+                f.step(evs[i]);
+                g.step(evs[i]);
             }
             false
         }

@@ -34,14 +34,18 @@ impl From<u32> for Chan {
     }
 }
 
+/// Largest [`ChanSet`] probed by linear scan in [`ChanSet::contains`].
+const LINEAR_PROBE_MAX: usize = 16;
+
 /// A finite set of channels — the *incident channels* of a process, or the
 /// subset `L` a trace is projected on.
 ///
-/// Backed by a sorted, deduplicated `Vec`: channel sets are tiny (a
-/// handful of entries) and live on hot paths — event projection filters
-/// and engine/monitor support tests — where a contiguous probe beats a
-/// `BTreeSet`'s pointer chasing. Mutation is O(n), which the construction
-/// paths (all cold) happily pay.
+/// Backed by a sorted, deduplicated `Vec`: channel sets are usually tiny
+/// (a handful of entries) and live on hot paths — event projection
+/// filters and engine/monitor support tests — where a contiguous probe
+/// beats a `BTreeSet`'s pointer chasing; wide sets stay O(log n) by
+/// binary search. Mutation is O(n), which the construction paths (all
+/// cold) happily pay.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ChanSet {
     /// Sorted ascending, no duplicates.
@@ -62,11 +66,15 @@ impl ChanSet {
         ChanSet { chans }
     }
 
-    /// Membership test.
+    /// Membership test: O(log n). Sets of up to 16 channels take a linear
+    /// scan with early exit, which beats binary search's branch
+    /// mispredictions at that size; wider sets (a 1,280-process network's
+    /// description) binary-search.
     #[inline]
     pub fn contains(&self, c: Chan) -> bool {
-        // Tiny sorted slices: a linear scan with early exit beats binary
-        // search's branch mispredictions.
+        if self.chans.len() > LINEAR_PROBE_MAX {
+            return self.chans.binary_search(&c).is_ok();
+        }
         for &k in &self.chans {
             if k >= c {
                 return k == c;
@@ -184,6 +192,27 @@ mod tests {
         assert_eq!(s.len(), 3);
         assert!(!s.is_empty());
         assert!(ChanSet::new().is_empty());
+    }
+
+    #[test]
+    fn membership_agrees_with_btreeset_at_both_probe_sizes() {
+        use std::collections::BTreeSet;
+        // a small set (linear scan) and a wide one (binary search), with
+        // gaps so misses fall between, below and above the members
+        for n in [LINEAR_PROBE_MAX / 2, LINEAR_PROBE_MAX, 1280] {
+            let members: Vec<u32> = (0..n as u32).map(|i| 3 * i + 1).collect();
+            let set = cs(&members);
+            let oracle: BTreeSet<u32> = members.iter().copied().collect();
+            assert_eq!(set.len(), n);
+            for probe in 0..=3 * n as u32 + 4 {
+                assert_eq!(
+                    set.contains(Chan::new(probe)),
+                    oracle.contains(&probe),
+                    "ch{probe} in a {n}-channel set"
+                );
+            }
+            assert!(!set.contains(Chan::new(u32::MAX)));
+        }
     }
 
     #[test]

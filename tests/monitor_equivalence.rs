@@ -11,6 +11,10 @@
 //! plain run's to pin that observation is pure. Equality is field-exact —
 //! verdict, full `SmoothReport` (limits, first violation, depth),
 //! quiescence flag, and checked trace.
+//!
+//! The netlang network at the end pins the same at scale: with 1,250
+//! component equations, `AbortOnViolation` convicts the post-hoc
+//! component at the post-hoc event.
 
 use eqp::core::Description;
 use eqp::kahn::chaos::{self, SchedulerChoice, Trial};
@@ -396,4 +400,104 @@ fn wide_network_past_the_support_mask_certifies_online_and_posthoc() {
     );
     let posthoc = check_report(&desc, &report, &ConformanceOptions::default());
     assert_conformance_eq("wide-lanes", &online, &posthoc);
+}
+
+/// 250 netlang pipelines of a source and four stages — 1,250 processes,
+/// each with its defining equation — in which one stage lies: it runs
+/// `map affine(2,0)` while its equation says `affine(3,0)`. Under
+/// `AbortOnViolation` the monitor must convict that stage's equation at
+/// the very event on which post-hoc `check_report` convicts it on the
+/// bare run's trace: same component, same `(u, v)` pair, and a halted
+/// trace that is the bare trace cut right after `v`.
+#[test]
+fn abort_at_scale_convicts_the_posthoc_component_at_the_posthoc_event() {
+    const CHAINS: usize = 250;
+    const STAGES: usize = 4;
+    const LIAR: (usize, usize) = (23, 2);
+    let chan = |c: usize, k: usize| c * (STAGES + 1) + k;
+    let mut src = String::from("net liar-at-scale\nsteps 100000\n");
+    let mut eqs = Vec::new();
+    for c in 0..CHAINS {
+        for k in 0..=STAGES {
+            src.push_str(&format!("chan c{0} = {0}\n", chan(c, k)));
+        }
+    }
+    for c in 0..CHAINS {
+        let vals = format!("{} {} {}", 1 + c % 7, 2 + c % 5, 3 + c % 3);
+        src.push_str(&format!("proc s{c} = const c{} [{vals}]\n", chan(c, 0)));
+        eqs.push(format!("eq c{} <= [{vals}]", chan(c, 0)));
+        for k in 1..=STAGES {
+            let (a, b) = (chan(c, k - 1), chan(c, k));
+            let (runs, claims) = match k {
+                _ if (c, k) == LIAR => (2, 3),
+                1 | 3 => (1, 1),
+                _ => (2, 2),
+            };
+            src.push_str(&format!("proc p{b} = map affine({runs},0) c{a} -> c{b}\n"));
+            eqs.push(format!("eq c{b} <= map(affine({claims},0), c{a})"));
+        }
+    }
+    for e in eqs {
+        src.push_str(&e);
+        src.push('\n');
+    }
+    let procs = CHAINS * (STAGES + 1);
+    let limits = eqp_netlang::NetLimits {
+        max_source_bytes: 1 << 20,
+        max_channels: procs,
+        max_chan_index: procs as u32,
+        max_processes: procs,
+        max_equations: procs,
+        ..eqp_netlang::NetLimits::default()
+    };
+    let program = eqp_netlang::parse(&src, &limits).expect("the wide program parses");
+    let desc = program.description();
+    assert!(
+        desc.lhs_compiled().len() >= 1000,
+        "at least 1,000 equations"
+    );
+    let opts = RunOptions {
+        max_steps: program.steps() as usize,
+        seed: 5,
+        ..RunOptions::default()
+    };
+
+    let bare = program.build(5).run_report(&mut RoundRobin::new(), opts);
+    assert!(bare.quiescent, "the bare run must finish");
+    let posthoc = check_report(&desc, &bare, &ConformanceOptions::default());
+    let expected = posthoc
+        .report
+        .violation
+        .as_ref()
+        .expect("the lying stage must be convicted post-hoc");
+    assert_eq!(
+        expected.component,
+        chan(LIAR.0, LIAR.1),
+        "post-hoc convicts the lying stage's equation"
+    );
+
+    let (aborted, online) = program.build(5).run_report_monitored(
+        &desc,
+        &mut RoundRobin::new(),
+        opts.with_monitor(MonitorPolicy::AbortOnViolation),
+    );
+    assert_eq!(
+        aborted.status,
+        RunStatus::MonitorAborted {
+            component: expected.component
+        },
+        "the abort names the post-hoc component"
+    );
+    let convicted = online
+        .report
+        .violation
+        .as_ref()
+        .expect("the online report carries the violation");
+    assert_eq!(convicted, expected, "same component, same (u, v) pair");
+    let cut = expected.v.events().expect("finite").len();
+    assert_eq!(
+        aborted.trace.events().expect("finite"),
+        &bare.trace.events().expect("finite")[..cut],
+        "the run halts on the convicting event"
+    );
 }
