@@ -37,7 +37,10 @@ use criterion::Criterion;
 use eqp_core::Description;
 use eqp_kahn::conformance::{check_report, ConformanceOptions};
 use eqp_kahn::faults::{Fault, FaultSchedule, FaultyLink, LinkFaultSpec};
-use eqp_kahn::{procs, Network, Oracle, ReliableConfig, RoundRobin, RunOptions, SupervisorOptions};
+use eqp_kahn::{
+    procs, MonitorPolicy, Network, Oracle, ReliableConfig, RoundRobin, RunOptions, RunWith,
+    SupervisorOptions,
+};
 use eqp_processes::{brock_ackermann as ba, dfm, fair_merge, ticks};
 use eqp_seqfn::delta::SideEval;
 use eqp_seqfn::paper::ch;
@@ -52,6 +55,20 @@ fn section23_opts() -> RunOptions {
         max_steps: 120,
         seed: 7,
         ..RunOptions::default()
+    }
+}
+
+fn observe(desc: &Description) -> RunWith<'_> {
+    RunWith {
+        monitor: Some((desc, MonitorPolicy::Observe)),
+        ..RunWith::default()
+    }
+}
+
+fn checkpoint_at(at: usize) -> RunWith<'static> {
+    RunWith {
+        checkpoint_at: Some(at),
+        ..RunWith::default()
     }
 }
 
@@ -106,9 +123,8 @@ fn bench_run_vs_report(c: &mut Criterion, desc: &Description) {
     g.bench_function("run_report_monitored", |b| {
         b.iter(|| {
             let mut net = dfm::section23_network(Oracle::fair(7, 2));
-            let (report, conf) =
-                net.run_report_monitored(desc, &mut RoundRobin::new(), section23_opts());
-            black_box((report.steps, conf.is_conformant()))
+            let out = net.run_with(&mut RoundRobin::new(), section23_opts(), observe(desc));
+            black_box((out.report.steps, out.conformance.map(|c| c.is_conformant())))
         })
     });
     g.finish();
@@ -209,31 +225,35 @@ fn bench_checkpoint(c: &mut Criterion) {
     g.bench_function("capture-mid-run", |b| {
         b.iter(|| {
             let mut net = checkpoint_pipeline();
-            let (report, ckpt) = net.run_report_checkpointed(&mut RoundRobin::new(), opts, 600);
-            black_box((report.steps, ckpt.is_some()))
+            let out = net.run_with(&mut RoundRobin::new(), opts, checkpoint_at(600));
+            black_box((out.report.steps, out.checkpoint.is_some()))
         })
     });
     // one fixed checkpoint; measure the restore + remaining half-run
     let mut net = checkpoint_pipeline();
-    let (_, ckpt) = net.run_report_checkpointed(&mut RoundRobin::new(), opts, 600);
-    let ckpt = ckpt.expect("mid-run checkpoint");
+    let ckpt = net
+        .run_with(&mut RoundRobin::new(), opts, checkpoint_at(600))
+        .checkpoint
+        .expect("mid-run checkpoint");
     g.bench_function("resume-from-mid", |b| {
         b.iter(|| {
             let mut fresh = checkpoint_pipeline();
             let mut sched = RoundRobin::new();
-            black_box(fresh.resume_report(&ckpt, &mut sched, opts).unwrap().steps)
+            let resumed = fresh.resume(ckpt.clone(), &mut sched, opts, None);
+            black_box(resumed.unwrap().report.steps)
         })
     });
     g.bench_function("supervised", |b| {
         b.iter(|| {
             let mut net = checkpoint_pipeline();
+            let with = RunWith {
+                supervisor: Some(SupervisorOptions::one_for_one()),
+                ..RunWith::default()
+            };
             black_box(
-                net.run_supervised(
-                    &mut RoundRobin::new(),
-                    opts,
-                    SupervisorOptions::one_for_one(),
-                )
-                .steps,
+                net.run_with(&mut RoundRobin::new(), opts, with)
+                    .report
+                    .steps,
             )
         })
     });
@@ -262,8 +282,13 @@ fn bench_reliable(c: &mut Criterion) {
         b.iter(|| {
             let mut net = checkpoint_pipeline();
             let cfg = ReliableConfig::new(vec![stage]);
+            let with = RunWith {
+                reliable: Some(&cfg),
+                ..RunWith::default()
+            };
             black_box(
-                net.run_report_reliable(&mut RoundRobin::new(), opts, &FaultSchedule::none(), &cfg)
+                net.run_with(&mut RoundRobin::new(), opts, with)
+                    .report
                     .steps,
             )
         })
@@ -279,7 +304,12 @@ fn bench_reliable(c: &mut Criterion) {
                     fault: Fault::Drop { period: 10 },
                 }],
             };
-            let report = net.run_report_reliable(&mut RoundRobin::new(), opts, &schedule, &cfg);
+            let with = RunWith {
+                faults: Some(&schedule),
+                reliable: Some(&cfg),
+                ..RunWith::default()
+            };
+            let report = net.run_with(&mut RoundRobin::new(), opts, with).report;
             black_box((report.steps, report.quiescent))
         })
     });
@@ -330,8 +360,12 @@ fn sketch_capture_ratio() -> f64 {
     let desc = telemetry_description(n);
     let run = |sketches: bool| {
         telemetry_pipeline(n)
-            .run_report_monitored(&desc, &mut RoundRobin::new(), opts.with_sketches(sketches))
-            .0
+            .run_with(
+                &mut RoundRobin::new(),
+                opts.with_sketches(sketches),
+                observe(&desc),
+            )
+            .report
             .steps
     };
     if criterion::smoke_mode() {
@@ -368,14 +402,14 @@ fn sketch_capture_ratio() -> f64 {
 ///   rehydrating a ≥1MB checkpoint image. This is eqpd's evict/resume
 ///   hot path: the segment bytes are the durable copy, a session is
 ///   evicted and resumed from them repeatedly. The decode path pays
-///   `decode_checkpoint` (checksum + validating allocating walk) plus a
-///   deep clone into the engine on every resume — a decoded
-///   `Checkpoint` can't be retained, it is exactly the memory being
-///   evicted. The view path validates once up front (`view-validate`,
-///   timed separately — a `CheckpointView` is a `Copy` handle over the
-///   mapped bytes, free to retain) and each resume is a single
-///   materializing walk moved into the engine, no re-validation and no
-///   clone. The two paths are asserted verdict- and
+///   `decode_checkpoint` (checksum + validating allocating walk) on
+///   every resume, then moves the decoded `Checkpoint` into the engine
+///   — a decoded `Checkpoint` can't be retained, it is exactly the
+///   memory being evicted. The view path validates once up front
+///   (`view-validate`, timed separately — a `CheckpointView` is a
+///   `Copy` handle over the mapped bytes, free to retain) and each
+///   resume is a single materializing walk moved into the engine, with
+///   no re-validation. The two paths are asserted verdict- and
 ///   fingerprint-identical here (even under smoke), and the per-resume
 ///   speedup is gated >1× in the timing pass.
 fn bench_telemetry(c: &mut Criterion) -> f64 {
@@ -398,9 +432,10 @@ fn bench_telemetry(c: &mut Criterion) -> f64 {
     let full = telemetry_pipeline(n).run_report(&mut RoundRobin::new(), big_opts);
     assert!(full.quiescent, "zero-copy corpus run must quiesce");
     let at_step = full.steps - 8;
-    let (_, ckpt) =
-        telemetry_pipeline(n).run_report_checkpointed(&mut RoundRobin::new(), big_opts, at_step);
-    let ckpt = ckpt.expect("late-run checkpoint");
+    let ckpt = telemetry_pipeline(n)
+        .run_with(&mut RoundRobin::new(), big_opts, checkpoint_at(at_step))
+        .checkpoint
+        .expect("late-run checkpoint");
     let bytes = encode_checkpoint(&ckpt).expect("encodable image");
     assert!(
         bytes.len() >= 1 << 20,
@@ -422,14 +457,16 @@ fn bench_telemetry(c: &mut Criterion) -> f64 {
     let via_decode = {
         let rehydrated = decode_checkpoint(&bytes).expect("decodes");
         telemetry_pipeline(n)
-            .resume_report(&rehydrated, &mut RoundRobin::new(), big_opts)
+            .resume(rehydrated, &mut RoundRobin::new(), big_opts, None)
             .expect("decode-path resume")
+            .report
     };
     let via_view = {
         let view = CheckpointView::new(&bytes).expect("views");
         telemetry_pipeline(n)
-            .resume_report_view(&view, &mut RoundRobin::new(), big_opts)
+            .resume(view.to_checkpoint(), &mut RoundRobin::new(), big_opts, None)
             .expect("view-path resume")
+            .report
     };
     assert_eq!(
         format!("{via_view:?}"),
@@ -448,8 +485,9 @@ fn bench_telemetry(c: &mut Criterion) -> f64 {
             let mut fresh = telemetry_pipeline(n);
             black_box(
                 fresh
-                    .resume_report(&rehydrated, &mut RoundRobin::new(), big_opts)
+                    .resume(rehydrated, &mut RoundRobin::new(), big_opts, None)
                     .expect("resume")
+                    .report
                     .steps,
             )
         })
@@ -466,8 +504,9 @@ fn bench_telemetry(c: &mut Criterion) -> f64 {
             let mut fresh = telemetry_pipeline(n);
             black_box(
                 fresh
-                    .resume_report_view(&view, &mut RoundRobin::new(), big_opts)
+                    .resume(view.to_checkpoint(), &mut RoundRobin::new(), big_opts, None)
                     .expect("resume")
+                    .report
                     .steps,
             )
         })
@@ -525,8 +564,8 @@ fn bench_monitored(c: &mut Criterion) {
         g.bench_function(format!("online-{n}"), |b| {
             b.iter(|| {
                 let mut net = deep_pipeline(n);
-                let (report, conf) = net.run_report_monitored(&desc, &mut RoundRobin::new(), opts);
-                black_box((report.steps, conf.is_conformant()))
+                let out = net.run_with(&mut RoundRobin::new(), opts, observe(&desc));
+                black_box((out.report.steps, out.conformance.map(|c| c.is_conformant())))
             })
         });
         g.bench_function(format!("posthoc-{n}"), |b| {

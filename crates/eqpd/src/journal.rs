@@ -667,7 +667,13 @@ mod tests {
         let sp = spec();
         let mut net = sp.build_network(sp.seed);
         let mut sched = sp.sched.build();
-        let (_, ckpt) = net.run_report_checkpointed(&mut &mut *sched, sp.run_options(64), at);
+        let with = eqp_kahn::RunWith {
+            checkpoint_at: Some(at),
+            ..eqp_kahn::RunWith::default()
+        };
+        let ckpt = net
+            .run_with(&mut &mut *sched, sp.run_options(64), with)
+            .checkpoint;
         eqp_kahn::encode_checkpoint(&ckpt.expect("run reaches the capture step")).expect("encodes")
     }
 

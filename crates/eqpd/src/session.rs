@@ -15,7 +15,7 @@ use crate::json::{obj, s, Json};
 use crate::spec::SessionSpec;
 use eqp_kahn::conformance::Verdict;
 use eqp_kahn::snapshot::Checkpoint;
-use eqp_kahn::{RunReport, RunStatus, Scheduler};
+use eqp_kahn::{RunOutcome, RunReport, RunStatus, RunWith, Scheduler};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
@@ -63,7 +63,8 @@ pub struct SessionResult {
     pub rounds: u64,
     /// Communication events in the whole-run trace.
     pub trace_len: u64,
-    /// Injected/observed fault events (e.g. `PayloadRejected`).
+    /// Fault events in the run's fault log (drops, duplicates, reorders,
+    /// retry exhaustion).
     pub faults: u64,
     /// FNV-1a hash over the rendered trace — the byte-identity witness.
     pub trace_hash: u64,
@@ -298,31 +299,42 @@ impl SessionRun {
     }
 
     /// Executes one chunk of at most `chunk` steps inside the panic
-    /// backstop. On [`ChunkOutcome::Parked`] the fresh checkpoint replaces
-    /// the old one; on error the session is dead (record
-    /// [`SessionResult::aborted`]).
+    /// backstop. The parked checkpoint is moved into the resumed engine;
+    /// on [`ChunkOutcome::Parked`] the fresh checkpoint takes its place.
+    /// On error the session is dead (record [`SessionResult::aborted`]).
     pub fn advance(&mut self, chunk: usize) -> Result<ChunkOutcome, SessionError> {
         let done = self.steps_done() as usize;
         let bound = (done + chunk.max(1)).min(self.spec.max_steps).max(done + 1);
         let opts = self.spec.run_options(bound);
         let seed = self.spec.seed;
         let sched_spec = self.spec.sched;
+        let progress = std::mem::replace(&mut self.progress, Progress::Fresh);
         let started = std::time::Instant::now();
 
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let mut net = self.spec.build_network(seed);
             let mut sched: Box<dyn Scheduler> = sched_spec.build();
-            match &self.progress {
-                Progress::Fresh => Ok(net.run_report_checkpointed(&mut &mut *sched, opts, bound)),
+            match progress {
+                Progress::Fresh => {
+                    let with = RunWith {
+                        checkpoint_at: Some(bound),
+                        ..RunWith::default()
+                    };
+                    Ok(net.run_with(&mut &mut *sched, opts, with))
+                }
                 Progress::Parked(ckpt) => net
-                    .resume_report_checkpointed(ckpt, &mut &mut *sched, opts, bound)
+                    .resume(*ckpt, &mut &mut *sched, opts, Some(bound))
                     .map_err(|e| SessionError::Restore(format!("{e:?}"))),
             }
         }));
         self.elapsed += started.elapsed();
 
-        let (report, captured) = match outcome {
-            Ok(Ok(pair)) => pair,
+        let RunOutcome {
+            report,
+            checkpoint: captured,
+            ..
+        } = match outcome {
+            Ok(Ok(out)) => out,
             Ok(Err(e)) => return Err(e),
             Err(payload) => return Err(SessionError::Panicked(panic_message(&payload))),
         };

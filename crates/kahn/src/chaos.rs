@@ -27,7 +27,7 @@
 use crate::conformance::{check_report, ConformanceOptions, Verdict};
 use crate::faults::{CrashPoint, Fault, FaultSchedule, LinkFaultSpec};
 use crate::monitor::MonitorPolicy;
-use crate::network::{Network, RunOptions};
+use crate::network::{Network, RunOptions, RunWith};
 use crate::reliable::{ArqOptions, ReliableConfig};
 use crate::report::{FaultRecord, RunReport, RunStatus};
 use crate::scheduler::{Adversarial, RandomSched, RoundRobin, Scheduler};
@@ -304,12 +304,19 @@ impl fmt::Display for ChaosReport {
     }
 }
 
-/// Runs one trial (fresh network, fresh scheduler, supervised, faulted)
-/// and checks it against the scenario's description.
+/// Runs one trial (fresh network, fresh scheduler, supervised, faulted,
+/// the scenario's protected channels ARQ-wrapped) and certifies it
+/// against the scenario's description. With a `monitor` policy the
+/// online [`SmoothnessMonitor`](crate::monitor) certifies as events
+/// commit — under [`MonitorPolicy::AbortOnViolation`] a
+/// smoothness-violating candidate halts at the convicting step, the
+/// ddmin speedup. With `None` the finished run is checked post-hoc
+/// through [`check_report`], the reference path [`shrink`] uses.
 pub fn run_trial(
     scenario: &Scenario,
     trial: &Trial,
     sup: SupervisorOptions,
+    monitor: Option<MonitorPolicy>,
 ) -> (RunReport, crate::conformance::Conformance) {
     let mut net = scenario.build(trial.net_seed);
     let mut sched = trial.scheduler.build();
@@ -318,46 +325,22 @@ pub fn run_trial(
         seed: trial.net_seed,
         ..RunOptions::default()
     };
-    let report = if scenario.protect.is_empty() {
-        net.run_supervised_faulted(&mut sched, opts, sup, &trial.schedule)
-    } else {
-        let cfg = ReliableConfig::new(scenario.protect.clone()).arq(scenario.arq);
-        net.run_supervised_reliable(&mut sched, opts, sup, &trial.schedule, &cfg)
-    };
-    let conf = check_report(
-        &scenario.description(),
-        &report,
-        &ConformanceOptions::default(),
-    );
-    (report, conf)
-}
-
-/// Runs one trial with the online [`SmoothnessMonitor`](crate::monitor)
-/// certifying as events commit. Under
-/// [`MonitorPolicy::AbortOnViolation`] a smoothness-violating candidate
-/// halts at the convicting step instead of running to the step bound and
-/// re-checking post-hoc — the ddmin speedup.
-pub fn run_trial_monitored(
-    scenario: &Scenario,
-    trial: &Trial,
-    sup: SupervisorOptions,
-    policy: MonitorPolicy,
-) -> (RunReport, crate::conformance::Conformance) {
-    let mut net = scenario.build(trial.net_seed);
-    let mut sched = trial.scheduler.build();
-    let opts = RunOptions {
-        max_steps: scenario.max_steps,
-        seed: trial.net_seed,
-        ..RunOptions::default()
-    }
-    .with_monitor(policy);
     let desc = scenario.description();
-    if scenario.protect.is_empty() {
-        net.run_supervised_monitored_faulted(&desc, &mut sched, opts, sup, &trial.schedule)
-    } else {
-        let cfg = ReliableConfig::new(scenario.protect.clone()).arq(scenario.arq);
-        net.run_supervised_monitored_reliable(&desc, &mut sched, opts, sup, &trial.schedule, &cfg)
-    }
+    // with no protected channel the ARQ config wraps nothing and the run
+    // is the plain faulted one
+    let cfg = ReliableConfig::new(scenario.protect.clone()).arq(scenario.arq);
+    let with = RunWith {
+        monitor: monitor.map(|policy| (&desc, policy)),
+        faults: Some(&trial.schedule),
+        reliable: Some(&cfg),
+        supervisor: Some(sup),
+        checkpoint_at: None,
+    };
+    let out = net.run_with(&mut sched, opts, with);
+    let conf = out
+        .conformance
+        .unwrap_or_else(|| check_report(&desc, &out.report, &ConformanceOptions::default()));
+    (out.report, conf)
 }
 
 /// The outcome of a [`shrink_report`] pass: the minimal schedule plus the
@@ -394,7 +377,7 @@ pub fn shrink(scenario: &Scenario, trial: &Trial, sup: SupervisorOptions) -> Fau
                 schedule: current.without(i),
                 ..trial.clone()
             };
-            if !run_trial(scenario, &candidate, sup).1.is_conformant() {
+            if !run_trial(scenario, &candidate, sup, None).1.is_conformant() {
                 current = candidate.schedule;
                 progressed = true;
                 break;
@@ -426,8 +409,12 @@ pub fn shrink_report(scenario: &Scenario, trial: &Trial, sup: SupervisorOptions)
                 schedule: current.without(i),
                 ..trial.clone()
             };
-            let (report, conf) =
-                run_trial_monitored(scenario, &candidate, sup, MonitorPolicy::AbortOnViolation);
+            let (report, conf) = run_trial(
+                scenario,
+                &candidate,
+                sup,
+                Some(MonitorPolicy::AbortOnViolation),
+            );
             trials_run += 1;
             if matches!(report.status, RunStatus::MonitorAborted { .. }) {
                 steps_saved += scenario.max_steps.saturating_sub(report.steps);
@@ -547,14 +534,14 @@ pub fn storm(scenario: &Scenario, opts: &ChaosOptions) -> ChaosReport {
     let mut convictions = Vec::new();
     for _ in 0..opts.trials {
         let trial = sample_trial(&mut rng, n_procs, &channels, scenario.max_steps, opts);
-        let (report, conf) = run_trial(scenario, &trial, opts.supervisor);
+        let (report, conf) = run_trial(scenario, &trial, opts.supervisor, None);
         let benign_run = counts_as_benign(scenario, &trial, &report.status);
         if conf.is_conformant() {
             conformant += 1;
             continue;
         }
         // reproducibility: the identical trial must reproduce the verdict
-        let (report2, conf2) = run_trial(scenario, &trial, opts.supervisor);
+        let (report2, conf2) = run_trial(scenario, &trial, opts.supervisor, None);
         let reproducible = conf2.verdict == conf.verdict && report2.trace == report.trace;
         // shrink to a minimal reproducer (early-abort monitored
         // candidates — same minimum, fraction of the step budget), then
@@ -564,7 +551,7 @@ pub fn storm(scenario: &Scenario, opts: &ChaosOptions) -> ChaosReport {
             schedule: minimal.clone(),
             ..trial.clone()
         };
-        let (min_report, min_conf) = run_trial(scenario, &min_trial, opts.supervisor);
+        let (min_report, min_conf) = run_trial(scenario, &min_trial, opts.supervisor, None);
         // an empty minimal schedule means removal-to-nothing still
         // convicted: the scenario fails fault-free — unshrinkable
         let shrinkable = !minimal.is_empty();
@@ -638,7 +625,7 @@ mod tests {
             scheduler: SchedulerChoice::RoundRobin,
             schedule: FaultSchedule::none(),
         };
-        let (_, conf) = run_trial(&s, &trial, SupervisorOptions::one_for_one());
+        let (_, conf) = run_trial(&s, &trial, SupervisorOptions::one_for_one(), None);
         assert_eq!(conf.verdict, Verdict::SmoothSolution);
     }
 
@@ -668,7 +655,7 @@ mod tests {
             },
         };
         let sup = SupervisorOptions::one_for_one();
-        let (_, conf) = run_trial(&s, &trial, sup);
+        let (_, conf) = run_trial(&s, &trial, sup, None);
         assert!(!conf.is_conformant(), "the drop convicts");
         let minimal = shrink(&s, &trial, sup);
         assert_eq!(minimal.len(), 1, "shrinks to a single fault: {minimal}");

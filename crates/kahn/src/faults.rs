@@ -103,13 +103,6 @@ pub enum FaultKind {
     /// message after exhausting its retry budget; the message and
     /// everything queued behind it were abandoned.
     RetryExhausted,
-    /// A reliable-transport endpoint received a message whose shape the
-    /// protocol cannot carry (e.g. a non-`Int` payload into a
-    /// [`crate::ReliableSender`]); the endpoint poisoned itself — it
-    /// stops transporting but the run continues and degrades to a named
-    /// verdict instead of panicking. The daemon path (`eqpd`) relies on
-    /// this: a malformed tenant wiring must never abort the process.
-    PayloadRejected,
 }
 
 impl FaultKind {
@@ -120,7 +113,6 @@ impl FaultKind {
             FaultKind::Duplicated => 1,
             FaultKind::Reordered => 2,
             FaultKind::RetryExhausted => 3,
-            FaultKind::PayloadRejected => 4,
         }
     }
 
@@ -131,7 +123,6 @@ impl FaultKind {
             1 => FaultKind::Duplicated,
             2 => FaultKind::Reordered,
             3 => FaultKind::RetryExhausted,
-            4 => FaultKind::PayloadRejected,
             _ => return None,
         })
     }
@@ -144,7 +135,6 @@ impl fmt::Display for FaultKind {
             FaultKind::Duplicated => "duplicated",
             FaultKind::Reordered => "reordered",
             FaultKind::RetryExhausted => "retry budget exhausted on",
-            FaultKind::PayloadRejected => "wrong-shape payload rejected:",
         })
     }
 }

@@ -10,7 +10,10 @@
 //!   consumes queued messages and produces sends.
 //! * [`Network`] — processes wired by unbounded FIFO channels, with every
 //!   send recorded in a global [`Trace`] (the paper's communication
-//!   history: sends only, Section 3.1.1).
+//!   history: sends only, Section 3.1.1). [`Network::run_with`] runs it
+//!   with any combination of [`RunWith`] attachments (online monitor,
+//!   faults, reliable links, supervisor, checkpoint capture);
+//!   [`Network::resume`] continues a captured [`Checkpoint`].
 //! * [`Scheduler`] — pluggable nondeterminism: round-robin, seeded-random,
 //!   and adversarial (skews towards starving late processes) schedulers.
 //!   Every schedule of a Kahn network produces a trace whose projections
@@ -74,9 +77,8 @@
 //!   merged fleet-wide by `eqpd`. Checkpoint images (wire v2) validate
 //!   and resume through the borrowing [`CheckpointView`] — full
 //!   structural certification with zero decode allocation, then a
-//!   single materializing walk moved into the engine
-//!   ([`Network::resume_report_view`]), ~2× the decode+clone resume on
-//!   large images.
+//!   single materializing walk moved into the engine by
+//!   [`Network::resume`].
 //!
 //! # Example
 //!
@@ -123,10 +125,12 @@ pub use faults::{
     CrashAt, CrashPoint, Fault, FaultEvent, FaultKind, FaultSchedule, FaultyLink, LinkFaultSpec,
 };
 pub use monitor::{MonitorPolicy, SmoothnessMonitor};
-pub use network::{DrainedError, Network, OverflowPolicy, RunOptions, RunResult};
+pub use network::{
+    DrainedError, Network, OverflowPolicy, RunOptions, RunOutcome, RunResult, RunWith,
+};
 pub use oracle::Oracle;
 pub use process::{Process, StepCtx, StepResult};
-pub use reliable::{ArqOptions, ReliableConfig, ReliableReceiver, ReliableSender};
+pub use reliable::{ArqOptions, ReliableConfig};
 pub use report::{
     ChannelReport, ConsumerViolation, FaultRecord, ProcessReport, RunReport, RunStatus,
 };

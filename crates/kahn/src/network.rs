@@ -62,13 +62,6 @@ pub struct RunOptions {
     /// exit for throttled runs that would otherwise grind to the step
     /// bound.
     pub deadline_rounds: Option<usize>,
-    /// Violation policy for the online smoothness monitor, used by the
-    /// `*_monitored` run methods ([`Network::run_report_monitored`] and
-    /// friends). [`MonitorPolicy::Observe`] (the default) certifies
-    /// without perturbing the run; [`MonitorPolicy::AbortOnViolation`]
-    /// halts at the convicting step with [`RunStatus::MonitorAborted`].
-    /// Ignored by unmonitored runs.
-    pub monitor: MonitorPolicy,
     /// Accumulate mergeable telemetry sketches inline during the run
     /// (queue-depth/latency quantiles, heavy-hitter channels,
     /// distinct-value cardinality — see
@@ -86,7 +79,6 @@ impl Default for RunOptions {
             channel_capacity: None,
             overflow: OverflowPolicy::Block,
             deadline_rounds: None,
-            monitor: MonitorPolicy::Observe,
             sketches: true,
         }
     }
@@ -120,14 +112,6 @@ impl RunOptions {
         self
     }
 
-    /// Sets the online monitor's violation policy (used by the
-    /// `*_monitored` run methods).
-    #[must_use]
-    pub fn with_monitor(mut self, policy: MonitorPolicy) -> RunOptions {
-        self.monitor = policy;
-        self
-    }
-
     /// Compatibility shim: returns `self` unchanged — every run steps
     /// on the one engine. Kept only because the benchmark package
     /// (`eqpbench/`) still calls it; removed once the next benchmark
@@ -148,6 +132,61 @@ impl RunOptions {
         self.sketches = on;
         self
     }
+}
+
+/// What a run carries besides its [`RunOptions`]: an online monitor, an
+/// engine-level fault schedule, reliable (ARQ) links, a supervisor and a
+/// checkpoint capture point. Every field is optional and the default is
+/// the bare run; [`Network::run_with`] combines whichever are set.
+///
+/// A captured [`Checkpoint`] saves no link, ARQ, crash-point or
+/// supervisor-journal state, so `checkpoint_at` cannot be combined with
+/// `faults`, `reliable` or `supervisor` — [`Network::run_with`] panics
+/// on those pairings rather than capture a checkpoint that would resume
+/// into a different run.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RunWith<'a> {
+    /// Certify the trace against the description *as events commit* —
+    /// amortized O(1) per event — under the given violation policy.
+    /// [`MonitorPolicy::Observe`] certifies without perturbing the run;
+    /// [`MonitorPolicy::AbortOnViolation`] halts at the convicting step
+    /// with [`RunStatus::MonitorAborted`]. The verdict equals
+    /// `check_report(desc, &report, &Default::default())` on the same
+    /// run.
+    pub monitor: Option<(&'a Description, MonitorPolicy)>,
+    /// Engine-level faults: crash points kill processes at global step
+    /// counts and link faults intercept sends in flight — no rewiring of
+    /// the network required.
+    pub faults: Option<&'a FaultSchedule>,
+    /// Wrap the channels named in the config in reliable (ARQ) links: a
+    /// drop/duplicate/reorder fault scheduled in `faults` on a protected
+    /// channel becomes the link's lossy medium, and retransmission plus
+    /// dedup/reorder recovery makes the composite the identity. On retry
+    /// budget exhaustion the run degrades to
+    /// [`RunStatus::ReliabilityExhausted`] instead of hanging.
+    pub reliable: Option<&'a ReliableConfig>,
+    /// Supervise the run: crashed processes (reported by
+    /// [`Process::crashed`] or fired by a crash point) are restored from
+    /// the latest periodic checkpoint, or reset and replayed from
+    /// genesis, per the restart policy.
+    pub supervisor: Option<SupervisorOptions>,
+    /// Capture a whole-run [`Checkpoint`] when the global progress-step
+    /// count reaches exactly this value (0 captures the genesis state).
+    /// Capture is pure observation: the run is unchanged.
+    pub checkpoint_at: Option<usize>,
+}
+
+/// What [`Network::run_with`] and [`Network::resume`] return.
+#[derive(Debug, Clone)]
+pub struct RunOutcome {
+    /// The run's full telemetry report.
+    pub report: RunReport,
+    /// The online monitor's verdict — `Some` exactly when a monitor was
+    /// attached (or, on resume, when the checkpoint carries one).
+    pub conformance: Option<Conformance>,
+    /// The checkpoint captured at `checkpoint_at`; `None` if none was
+    /// asked for or the run ended before reaching it.
+    pub checkpoint: Option<Checkpoint>,
 }
 
 /// Result of a network run.
@@ -345,11 +384,10 @@ impl Network {
         );
     }
 
-    /// The resume prologue shared by every `resume_*` entry point:
-    /// checks the checkpoint's arity against this network, restores each
-    /// process's state cell and the scheduler, and returns an engine over
-    /// the restored processes for the caller to load the checkpoint's
-    /// run state into.
+    /// The resume prologue: checks the checkpoint's arity against this
+    /// network, restores each process's state cell and the scheduler, and
+    /// returns an engine over the restored processes for the caller to
+    /// load the checkpoint's run state into.
     fn restored_engine<S: Scheduler>(
         &mut self,
         ckpt: &Checkpoint,
@@ -392,76 +430,105 @@ impl Network {
         Engine::new(&mut self.processes, ChanMap::default(), opts).run(sched)
     }
 
-    /// Runs the network, capturing a whole-run [`Checkpoint`] when the
-    /// global progress-step count reaches exactly `at_step` (0 captures
-    /// the genesis state before any step). The returned checkpoint is
-    /// `None` if the run ended before reaching `at_step`.
+    /// Runs the network with the attachments in `with` — monitor,
+    /// faults, reliable links, supervisor, checkpoint capture — all on
+    /// the one engine.
     ///
-    /// The run itself is byte-identical to
-    /// [`run_report`](Network::run_report) — capture is pure
-    /// observation. Feed the
-    /// checkpoint to [`resume_report`](Network::resume_report) on a
-    /// freshly built identical network to continue it.
+    /// # Panics
+    ///
+    /// Panics if `with.checkpoint_at` is combined with `faults`,
+    /// `reliable` or `supervisor` (see [`RunWith`]).
+    pub fn run_with<S: Scheduler>(
+        &mut self,
+        sched: &mut S,
+        opts: RunOptions,
+        with: RunWith<'_>,
+    ) -> RunOutcome {
+        self.assert_live();
+        let mut engine = Engine::new(&mut self.processes, ChanMap::default(), opts);
+        engine.attach(&with);
+        engine.run_outcome(sched)
+    }
+
+    /// Restores `ckpt` into this (identically built) network and `sched`
+    /// (identically constructed scheduler) and continues the run to its
+    /// end, capturing a fresh checkpoint at `checkpoint_at` if given
+    /// (counted from run genesis, so it must exceed `ckpt.steps()`). The
+    /// resumed run is byte-identical — trace and report meters — to the
+    /// uninterrupted one. The checkpoint is moved into the engine, not
+    /// copied.
+    ///
+    /// The outcome carries a conformance exactly when the checkpoint
+    /// carries a monitor: certification resumes from the captured
+    /// evaluator state without re-feeding the prefix.
+    /// `opts.max_steps` still bounds the total step count; `opts.seed`
+    /// is ignored (the RNG resumes mid-stream from the checkpoint).
+    pub fn resume<S: Scheduler>(
+        &mut self,
+        ckpt: Checkpoint,
+        sched: &mut S,
+        opts: RunOptions,
+        checkpoint_at: Option<usize>,
+    ) -> Result<RunOutcome, SnapshotError> {
+        let mut engine = self.restored_engine(&ckpt, sched, opts)?;
+        engine.resume_from(ckpt);
+        engine.checkpoint_at = checkpoint_at;
+        Ok(engine.run_outcome(sched))
+    }
+
+    /// Compatibility shim for [`run_with`](Network::run_with) with an
+    /// [`Observe`](MonitorPolicy::Observe) monitor. Kept only because the
+    /// benchmark package (`eqpbench/`) still calls it; removed once the
+    /// next benchmark change drops that call.
+    pub fn run_report_monitored<S: Scheduler>(
+        &mut self,
+        desc: &Description,
+        sched: &mut S,
+        opts: RunOptions,
+    ) -> (RunReport, Conformance) {
+        let with = RunWith {
+            monitor: Some((desc, MonitorPolicy::Observe)),
+            ..RunWith::default()
+        };
+        let out = self.run_with(sched, opts, with);
+        (out.report, out.conformance.expect("monitor attached"))
+    }
+
+    /// Compatibility shim for [`run_with`](Network::run_with) with a
+    /// checkpoint capture point. Kept only because the benchmark package
+    /// (`eqpbench/`) still calls it; removed once the next benchmark
+    /// change drops that call.
     pub fn run_report_checkpointed<S: Scheduler>(
         &mut self,
         sched: &mut S,
         opts: RunOptions,
         at_step: usize,
     ) -> (RunReport, Option<Checkpoint>) {
-        self.assert_live();
-        let mut engine = Engine::new(&mut self.processes, ChanMap::default(), opts);
-        engine.checkpoint_at = Some(at_step);
-        let report = engine.run(sched);
-        let captured = engine.captured.take();
-        (report, captured)
+        let with = RunWith {
+            checkpoint_at: Some(at_step),
+            ..RunWith::default()
+        };
+        let out = self.run_with(sched, opts, with);
+        (out.report, out.checkpoint)
     }
 
-    /// Restores `ckpt` into this (identically built) network and `sched`
-    /// (identically constructed scheduler) and continues the run to its
-    /// end. The resumed run is byte-identical — trace and report meters —
-    /// to the uninterrupted one.
-    ///
-    /// `opts.max_steps` still bounds the total step count;  `opts.seed`
-    /// is ignored (the RNG resumes mid-stream from the checkpoint).
-    pub fn resume_report<S: Scheduler>(
-        &mut self,
-        ckpt: &Checkpoint,
-        sched: &mut S,
-        opts: RunOptions,
-    ) -> Result<RunReport, SnapshotError> {
-        let mut engine = self.restored_engine(ckpt, sched, opts)?;
-        engine.resume_from(ckpt);
-        Ok(engine.run(sched))
-    }
-
-    /// Resumes from a validated zero-copy [`CheckpointView`] — the
-    /// durable fast path. The view already structure-validated the whole
-    /// image at construction, so materialization cannot fail; the
-    /// materialized checkpoint is then *moved* into the engine (queues,
-    /// trace, telemetry, counters), skipping the second deep copy
-    /// [`resume_report`](Network::resume_report) pays when resuming from
-    /// a borrowed checkpoint. The resumed run is byte-identical to the
-    /// decode-then-resume path — same trace, same report, same verdict.
+    /// Compatibility shim for [`resume`](Network::resume) from a
+    /// validated [`CheckpointView`]. Kept only because the benchmark
+    /// package (`eqpbench/`) still calls it; removed once the next
+    /// benchmark change drops that call.
     pub fn resume_report_view<S: Scheduler>(
         &mut self,
         view: &CheckpointView<'_>,
         sched: &mut S,
         opts: RunOptions,
     ) -> Result<RunReport, SnapshotError> {
-        let ckpt = view.to_checkpoint();
-        let mut engine = self.restored_engine(&ckpt, sched, opts)?;
-        engine.resume_from_owned(ckpt);
-        Ok(engine.run(sched))
+        Ok(self.resume(view.to_checkpoint(), sched, opts, None)?.report)
     }
 
-    /// [`resume_report`](Network::resume_report) that *also* captures a
-    /// fresh whole-run [`Checkpoint`] when the global step count reaches
-    /// `at_step` — the chunked-execution primitive: run `k` steps, park
-    /// the checkpoint (in memory or on disk via [`crate::wire`]), resume
-    /// for another `k`, and so on, with the concatenated run proven
-    /// byte-identical to the uninterrupted one. `at_step` counts from
-    /// run genesis, not from the resume point, and must exceed
-    /// `ckpt.steps()` to capture.
+    /// Compatibility shim for [`resume`](Network::resume) from a borrowed
+    /// checkpoint, which it clones. Kept only because the benchmark
+    /// package (`eqpbench/`) still calls it; removed once the next
+    /// benchmark change drops that call.
     pub fn resume_report_checkpointed<S: Scheduler>(
         &mut self,
         ckpt: &Checkpoint,
@@ -469,236 +536,8 @@ impl Network {
         opts: RunOptions,
         at_step: usize,
     ) -> Result<(RunReport, Option<Checkpoint>), SnapshotError> {
-        let mut engine = self.restored_engine(ckpt, sched, opts)?;
-        engine.resume_from(ckpt);
-        engine.checkpoint_at = Some(at_step);
-        let report = engine.run(sched);
-        let captured = engine.captured.take();
-        Ok((report, captured))
-    }
-
-    /// Runs the network under supervision: crashed processes (reported by
-    /// [`Process::crashed`]) are restored from the latest periodic
-    /// checkpoint (or reset and replayed from genesis) per the restart
-    /// policy in `sup`. A recovered quiescent run still certifies as a
-    /// smooth solution of the original description — recovery preserves
-    /// the trace.
-    pub fn run_supervised<S: Scheduler>(
-        &mut self,
-        sched: &mut S,
-        opts: RunOptions,
-        sup: SupervisorOptions,
-    ) -> RunReport {
-        self.run_supervised_faulted(sched, opts, sup, &FaultSchedule::none())
-    }
-
-    /// [`run_supervised`](Network::run_supervised) plus an engine-level
-    /// [`FaultSchedule`]: crash points kill processes at global step
-    /// counts and link faults intercept sends in flight — no rewiring of
-    /// the network required. This is the chaos harness's entry point.
-    pub fn run_supervised_faulted<S: Scheduler>(
-        &mut self,
-        sched: &mut S,
-        opts: RunOptions,
-        sup: SupervisorOptions,
-        schedule: &FaultSchedule,
-    ) -> RunReport {
-        self.assert_live();
-        let mut engine = Engine::new(&mut self.processes, ChanMap::default(), opts);
-        engine.supervise(sup);
-        engine.inject(schedule);
-        engine.run(sched)
-    }
-
-    /// Runs the network under an engine-level [`FaultSchedule`] *without*
-    /// supervision: crashed processes stay dead, dropped messages stay
-    /// dropped — the conviction-producing configuration.
-    pub fn run_report_faulted<S: Scheduler>(
-        &mut self,
-        sched: &mut S,
-        opts: RunOptions,
-        schedule: &FaultSchedule,
-    ) -> RunReport {
-        self.assert_live();
-        let mut engine = Engine::new(&mut self.processes, ChanMap::default(), opts);
-        engine.inject(schedule);
-        engine.run(sched)
-    }
-
-    /// Runs the network with the channels named in `cfg` wrapped in
-    /// reliable (ARQ) links masking the link faults in `schedule`: a
-    /// drop/duplicate/reorder fault scheduled on a protected channel
-    /// becomes the link's lossy medium, and retransmission +
-    /// dedup/reorder recovery makes the composite behave as the identity
-    /// — the run certifies exactly like the fault-free one. On retry
-    /// budget exhaustion the run degrades to
-    /// [`RunStatus::ReliabilityExhausted`] instead of hanging.
-    pub fn run_report_reliable<S: Scheduler>(
-        &mut self,
-        sched: &mut S,
-        opts: RunOptions,
-        schedule: &FaultSchedule,
-        cfg: &ReliableConfig,
-    ) -> RunReport {
-        self.assert_live();
-        let mut engine = Engine::new(&mut self.processes, ChanMap::default(), opts);
-        engine.inject_protected(schedule, cfg);
-        engine.run(sched)
-    }
-
-    /// [`run_report_reliable`](Network::run_report_reliable) under
-    /// supervision — the chaos harness's entry point for storms over
-    /// reliable-wrapped links (crash points recover per `sup`, link
-    /// faults on protected channels are masked by ARQ).
-    pub fn run_supervised_reliable<S: Scheduler>(
-        &mut self,
-        sched: &mut S,
-        opts: RunOptions,
-        sup: SupervisorOptions,
-        schedule: &FaultSchedule,
-        cfg: &ReliableConfig,
-    ) -> RunReport {
-        self.assert_live();
-        let mut engine = Engine::new(&mut self.processes, ChanMap::default(), opts);
-        engine.supervise(sup);
-        engine.inject_protected(schedule, cfg);
-        engine.run(sched)
-    }
-
-    /// Runs the network with an online [`SmoothnessMonitor`] certifying
-    /// the trace against `desc` *as events commit* — amortized O(1) per
-    /// event, so the returned [`Conformance`] costs O(n) total instead of
-    /// the post-hoc checker's O(n²) prefix re-walk. The verdict is
-    /// identical to `check_report(desc, &report, &Default::default())` on
-    /// the same run (the differential suite pins this); under
-    /// [`MonitorPolicy::AbortOnViolation`] (see
-    /// [`RunOptions::monitor`]) the run additionally halts at the
-    /// convicting step with [`RunStatus::MonitorAborted`].
-    pub fn run_report_monitored<S: Scheduler>(
-        &mut self,
-        desc: &Description,
-        sched: &mut S,
-        opts: RunOptions,
-    ) -> (RunReport, Conformance) {
-        self.assert_live();
-        let mut engine = Engine::new(&mut self.processes, ChanMap::default(), opts);
-        engine.arm_monitor(desc, opts.monitor);
-        engine.run_monitored(sched)
-    }
-
-    /// [`run_report_monitored`](Network::run_report_monitored) under an
-    /// engine-level [`FaultSchedule`] without supervision — the
-    /// conviction-producing configuration, now convicted online.
-    pub fn run_report_monitored_faulted<S: Scheduler>(
-        &mut self,
-        desc: &Description,
-        sched: &mut S,
-        opts: RunOptions,
-        schedule: &FaultSchedule,
-    ) -> (RunReport, Conformance) {
-        self.assert_live();
-        let mut engine = Engine::new(&mut self.processes, ChanMap::default(), opts);
-        engine.inject(schedule);
-        engine.arm_monitor(desc, opts.monitor);
-        engine.run_monitored(sched)
-    }
-
-    /// [`run_report_monitored`](Network::run_report_monitored) with the
-    /// channels in `cfg` wrapped in reliable (ARQ) links masking the
-    /// faults in `schedule`. Retry-budget exhaustion maps to
-    /// [`Verdict::Degraded`](crate::Verdict) exactly as the post-hoc
-    /// [`check_report`](crate::conformance::check_report) does.
-    pub fn run_report_monitored_reliable<S: Scheduler>(
-        &mut self,
-        desc: &Description,
-        sched: &mut S,
-        opts: RunOptions,
-        schedule: &FaultSchedule,
-        cfg: &ReliableConfig,
-    ) -> (RunReport, Conformance) {
-        self.assert_live();
-        let mut engine = Engine::new(&mut self.processes, ChanMap::default(), opts);
-        engine.inject_protected(schedule, cfg);
-        engine.arm_monitor(desc, opts.monitor);
-        engine.run_monitored(sched)
-    }
-
-    /// [`run_supervised_faulted`](Network::run_supervised_faulted) with
-    /// online certification — the chaos harness's monitored entry point.
-    pub fn run_supervised_monitored_faulted<S: Scheduler>(
-        &mut self,
-        desc: &Description,
-        sched: &mut S,
-        opts: RunOptions,
-        sup: SupervisorOptions,
-        schedule: &FaultSchedule,
-    ) -> (RunReport, Conformance) {
-        self.assert_live();
-        let mut engine = Engine::new(&mut self.processes, ChanMap::default(), opts);
-        engine.supervise(sup);
-        engine.inject(schedule);
-        engine.arm_monitor(desc, opts.monitor);
-        engine.run_monitored(sched)
-    }
-
-    /// [`run_supervised_reliable`](Network::run_supervised_reliable) with
-    /// online certification.
-    pub fn run_supervised_monitored_reliable<S: Scheduler>(
-        &mut self,
-        desc: &Description,
-        sched: &mut S,
-        opts: RunOptions,
-        sup: SupervisorOptions,
-        schedule: &FaultSchedule,
-        cfg: &ReliableConfig,
-    ) -> (RunReport, Conformance) {
-        self.assert_live();
-        let mut engine = Engine::new(&mut self.processes, ChanMap::default(), opts);
-        engine.supervise(sup);
-        engine.inject_protected(schedule, cfg);
-        engine.arm_monitor(desc, opts.monitor);
-        engine.run_monitored(sched)
-    }
-
-    /// [`run_report_checkpointed`](Network::run_report_checkpointed) with
-    /// online certification. The captured [`Checkpoint`] carries the
-    /// monitor's evaluator state, so
-    /// [`resume_report_monitored`](Network::resume_report_monitored)
-    /// continues certification without re-feeding the prefix.
-    pub fn run_report_checkpointed_monitored<S: Scheduler>(
-        &mut self,
-        desc: &Description,
-        sched: &mut S,
-        opts: RunOptions,
-        at_step: usize,
-    ) -> (RunReport, Conformance, Option<Checkpoint>) {
-        self.assert_live();
-        let mut engine = Engine::new(&mut self.processes, ChanMap::default(), opts);
-        engine.checkpoint_at = Some(at_step);
-        engine.arm_monitor(desc, opts.monitor);
-        let (report, conf) = engine.run_monitored(sched);
-        let captured = engine.captured.take();
-        (report, conf, captured)
-    }
-
-    /// [`resume_report`](Network::resume_report) for a checkpoint taken
-    /// by a monitored run: certification resumes from the checkpointed
-    /// monitor state (no description parameter — the monitor carries its
-    /// equations). Fails with [`SnapshotError::NoMonitor`] if the
-    /// checkpoint came from an unmonitored run.
-    pub fn resume_report_monitored<S: Scheduler>(
-        &mut self,
-        ckpt: &Checkpoint,
-        sched: &mut S,
-        opts: RunOptions,
-    ) -> Result<(RunReport, Conformance), SnapshotError> {
-        self.assert_live();
-        if ckpt.monitor.is_none() {
-            return Err(SnapshotError::NoMonitor);
-        }
-        let mut engine = self.restored_engine(ckpt, sched, opts)?;
-        engine.resume_from(ckpt);
-        Ok(engine.run_monitored(sched))
+        let out = self.resume(ckpt.clone(), sched, opts, Some(at_step))?;
+        Ok((out.report, out.checkpoint))
     }
 
     /// Compatibility shim: calls [`run_report`](Network::run_report).
@@ -917,60 +756,78 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Installs an online smoothness monitor over `desc`.
-    fn arm_monitor(&mut self, desc: &Description, policy: MonitorPolicy) {
-        self.monitor = Some(SmoothnessMonitor::new(desc, None, policy));
-        self.abort_armed = policy == MonitorPolicy::AbortOnViolation;
+    /// Installs the run's attachments. Panics on the pairings a
+    /// checkpoint cannot capture (see [`RunWith`]).
+    fn attach(&mut self, with: &RunWith<'_>) {
+        if with.checkpoint_at.is_some() {
+            for (name, set) in [
+                ("faults", with.faults.is_some()),
+                ("reliable", with.reliable.is_some()),
+                ("supervisor", with.supervisor.is_some()),
+            ] {
+                assert!(
+                    !set,
+                    "`checkpoint_at` cannot be combined with `{name}`: a checkpoint saves no \
+                     link, ARQ, crash-point or supervisor-journal state, so its resume would \
+                     diverge from the run"
+                );
+            }
+        }
+        if let Some(sup) = with.supervisor {
+            self.journals = Some(vec![Journal::default(); self.procs.len()]);
+            self.supervision = Some(sup);
+        }
+        if with.faults.is_some() || with.reliable.is_some() {
+            self.inject(with.faults.unwrap_or(&FaultSchedule::none()), with.reliable);
+        }
+        if let Some((desc, policy)) = with.monitor {
+            self.monitor = Some(SmoothnessMonitor::new(desc, None, policy));
+            self.abort_armed = policy == MonitorPolicy::AbortOnViolation;
+        }
+        self.checkpoint_at = with.checkpoint_at;
     }
 
-    /// Runs to completion and derives the final [`Conformance`] from the
-    /// monitor's evaluator states — no post-hoc trace re-walk.
-    fn run_monitored(&mut self, sched: &mut dyn Scheduler) -> (RunReport, Conformance) {
+    /// Runs to completion and collects the outcome: the report, the
+    /// monitor's verdict derived from its evaluator states (no post-hoc
+    /// trace re-walk), and the captured checkpoint.
+    fn run_outcome(&mut self, sched: &mut dyn Scheduler) -> RunOutcome {
         let report = self.run(sched);
-        let conf = self
-            .monitor
-            .as_ref()
-            .expect("run_monitored requires an armed monitor")
-            .finish(&report.status);
-        (report, conf)
+        let conformance = self.monitor.as_ref().map(|m| m.finish(&report.status));
+        RunOutcome {
+            report,
+            conformance,
+            checkpoint: self.captured.take(),
+        }
     }
 
-    fn supervise(&mut self, sup: SupervisorOptions) {
-        self.journals = Some(vec![Journal::default(); self.procs.len()]);
-        self.supervision = Some(sup);
-    }
-
-    fn inject(&mut self, schedule: &FaultSchedule) {
-        self.links = schedule.links.iter().map(EngineLink::new).collect();
-        self.crash_points = schedule.crashes.clone();
-    }
-
-    /// Injects `schedule` with the channels in `cfg` wrapped in reliable
-    /// (ARQ) links: a scheduled fault on a protected channel becomes that
-    /// link's lossy medium (masked by retransmission) instead of a bare
-    /// [`EngineLink`]; protected channels without a scheduled fault (and
-    /// no ack fault) get a pass-through link — over clean media the
-    /// protocol is provably the identity, so it costs nothing. Faults on
-    /// unprotected channels and crash points inject exactly as
-    /// [`Engine::inject`].
-    fn inject_protected(&mut self, schedule: &FaultSchedule, cfg: &ReliableConfig) {
-        let mut protected: Vec<Chan> = cfg.channels.clone();
+    /// Injects `schedule`, with the channels in `cfg` (if any) wrapped in
+    /// reliable (ARQ) links: a scheduled fault on a protected channel
+    /// becomes that link's lossy medium (masked by retransmission)
+    /// instead of a bare [`EngineLink`]; protected channels without a
+    /// scheduled fault (and no ack fault) get a pass-through link — over
+    /// clean media the protocol is provably the identity, so it costs
+    /// nothing. Faults on unprotected channels become bare links.
+    fn inject(&mut self, schedule: &FaultSchedule, cfg: Option<&ReliableConfig>) {
+        let mut protected: Vec<Chan> = cfg.map_or_else(Vec::new, |cfg| cfg.channels.clone());
         protected.sort();
         protected.dedup();
-        self.reliables = protected
-            .iter()
-            .map(|&c| {
-                let fault = schedule
-                    .links
-                    .iter()
-                    .find(|l| l.chan == c)
-                    .map(|l| &l.fault);
-                ReliableLink::new(c, fault, cfg.ack_fault.as_ref(), cfg.arq)
-            })
-            // identity links never frame, retransmit, or buffer — keeping
-            // them around would tax every send and every round for nothing
-            .filter(|l| !l.is_passthrough())
-            .collect();
+        if let Some(cfg) = cfg {
+            self.reliables = protected
+                .iter()
+                .map(|&c| {
+                    let fault = schedule
+                        .links
+                        .iter()
+                        .find(|l| l.chan == c)
+                        .map(|l| &l.fault);
+                    ReliableLink::new(c, fault, cfg.ack_fault.as_ref(), cfg.arq)
+                })
+                // identity links never frame, retransmit, or buffer —
+                // keeping them around would tax every send and every
+                // round for nothing
+                .filter(|l| !l.is_passthrough())
+                .collect();
+        }
         self.links = schedule
             .links
             .iter()
@@ -980,20 +837,22 @@ impl<'a> Engine<'a> {
         self.crash_points = schedule.crashes.clone();
     }
 
-    fn resume_from(&mut self, ckpt: &Checkpoint) {
-        self.queues = ckpt.queues.clone();
-        self.trace = ckpt.trace.clone();
-        self.rng = ckpt.rng.clone();
-        self.telemetry = ckpt.telemetry.clone();
-        self.counters = ckpt.counters.clone();
+    /// Loads a checkpoint's run state, *moving* its queues, trace,
+    /// telemetry and counters into the engine.
+    fn resume_from(&mut self, ckpt: Checkpoint) {
+        self.queues = ckpt.queues;
+        self.trace = ckpt.trace;
+        self.rng = ckpt.rng;
+        self.telemetry = ckpt.telemetry;
+        self.counters = ckpt.counters;
         self.steps = ckpt.steps;
         self.rounds = ckpt.rounds;
-        self.pending = ckpt.pending_round.clone();
+        self.pending = ckpt.pending_round;
         self.round_progressed = ckpt.round_progressed;
         // the captured monitor observed exactly the captured trace (the
         // engine drains before every capture), so certification resumes
         // without re-feeding the prefix
-        self.monitor = ckpt.monitor.clone();
+        self.monitor = ckpt.monitor;
         self.abort_armed = self
             .monitor
             .as_ref()
@@ -1006,33 +865,6 @@ impl<'a> Engine<'a> {
         self.telemetry.round = self.rounds as u64;
         // execution-mode flag, not run state: recompute for *this*
         // engine's flow configuration, whatever the capturer's was
-        self.telemetry.direct = self.telemetry.sketches.is_some() && self.flow.is_none();
-    }
-
-    /// [`resume_from`](Engine::resume_from) that consumes its checkpoint,
-    /// *moving* the queues, trace, telemetry, and counters into the
-    /// engine instead of deep-cloning them — the zero-copy resume path
-    /// fed by [`CheckpointView::to_checkpoint`], whose materialization is
-    /// already the run's single owned copy.
-    fn resume_from_owned(&mut self, ckpt: Checkpoint) {
-        self.queues = ckpt.queues;
-        self.trace = ckpt.trace;
-        self.rng = ckpt.rng;
-        self.telemetry = ckpt.telemetry;
-        self.counters = ckpt.counters;
-        self.steps = ckpt.steps;
-        self.rounds = ckpt.rounds;
-        self.pending = ckpt.pending_round;
-        self.round_progressed = ckpt.round_progressed;
-        self.monitor = ckpt.monitor;
-        self.abort_armed = self
-            .monitor
-            .as_ref()
-            .is_some_and(|m| m.policy() == MonitorPolicy::AbortOnViolation);
-        self.fed = self.trace.len();
-        // same round-clock re-sync and mode recompute as the borrowing
-        // path above
-        self.telemetry.round = self.rounds as u64;
         self.telemetry.direct = self.telemetry.sketches.is_some() && self.flow.is_none();
     }
 
@@ -1776,6 +1608,20 @@ mod tests {
         Chan::new(1)
     }
 
+    fn supervised(sup: SupervisorOptions) -> RunWith<'static> {
+        RunWith {
+            supervisor: Some(sup),
+            ..RunWith::default()
+        }
+    }
+
+    fn faulted(schedule: &FaultSchedule) -> RunWith<'_> {
+        RunWith {
+            faults: Some(schedule),
+            ..RunWith::default()
+        }
+    }
+
     fn pipeline() -> Network {
         let mut net = Network::new();
         net.add(Source::new(
@@ -1970,8 +1816,12 @@ mod tests {
     #[test]
     fn checkpoint_resume_is_byte_identical() {
         let full = pipeline().run_report(&mut RoundRobin::new(), RunOptions::default());
-        let (partial, ckpt) =
-            pipeline().run_report_checkpointed(&mut RoundRobin::new(), RunOptions::default(), 3);
+        let with = RunWith {
+            checkpoint_at: Some(3),
+            ..RunWith::default()
+        };
+        let out = pipeline().run_with(&mut RoundRobin::new(), RunOptions::default(), with);
+        let (partial, ckpt) = (out.report, out.checkpoint);
         // capture is pure observation: the checkpointed run is unchanged
         assert_eq!(partial.trace, full.trace);
         assert_eq!(partial.steps, full.steps);
@@ -1981,8 +1831,9 @@ mod tests {
         let mut fresh = pipeline();
         let mut sched = RoundRobin::new();
         let resumed = fresh
-            .resume_report(&ckpt, &mut sched, RunOptions::default())
-            .expect("identically built network resumes");
+            .resume(ckpt, &mut sched, RunOptions::default(), None)
+            .expect("identically built network resumes")
+            .report;
         assert_eq!(resumed.trace, full.trace);
         assert_eq!(resumed.steps, full.steps);
         assert_eq!(resumed.rounds, full.rounds);
@@ -1992,13 +1843,18 @@ mod tests {
 
     #[test]
     fn resume_rejects_mismatched_networks() {
-        let (_, ckpt) =
-            pipeline().run_report_checkpointed(&mut RoundRobin::new(), RunOptions::default(), 2);
-        let ckpt = ckpt.expect("captured");
+        let with = RunWith {
+            checkpoint_at: Some(2),
+            ..RunWith::default()
+        };
+        let ckpt = pipeline()
+            .run_with(&mut RoundRobin::new(), RunOptions::default(), with)
+            .checkpoint
+            .expect("captured");
         let mut small = Network::new();
         small.add(Source::new("env", c(), [Value::Int(1)]));
         let err = small
-            .resume_report(&ckpt, &mut RoundRobin::new(), RunOptions::default())
+            .resume(ckpt, &mut RoundRobin::new(), RunOptions::default(), None)
             .expect_err("arity mismatch");
         assert!(matches!(err, SnapshotError::ArityMismatch { .. }));
     }
@@ -2008,11 +1864,13 @@ mod tests {
         let baseline = pipeline().run_report(&mut RoundRobin::new(), RunOptions::default());
         let mut net = pipeline();
         net.wrap_crash_at(1, 2);
-        let report = net.run_supervised(
-            &mut RoundRobin::new(),
-            RunOptions::default(),
-            SupervisorOptions::one_for_one(),
-        );
+        let report = net
+            .run_with(
+                &mut RoundRobin::new(),
+                RunOptions::default(),
+                supervised(SupervisorOptions::one_for_one()),
+            )
+            .report;
         assert!(report.quiescent, "recovered run quiesces:\n{report}");
         assert_eq!(report.status, RunStatus::Quiescent);
         assert_eq!(report.trace.seq_on(c()), baseline.trace.seq_on(c()));
@@ -2029,11 +1887,13 @@ mod tests {
         let baseline = pipeline().run_report(&mut RoundRobin::new(), RunOptions::default());
         let mut net = pipeline();
         net.wrap_crash_at(1, 1);
-        let report = net.run_supervised(
-            &mut RoundRobin::new(),
-            RunOptions::default(),
-            SupervisorOptions::with_backoff(2, 8),
-        );
+        let report = net
+            .run_with(
+                &mut RoundRobin::new(),
+                RunOptions::default(),
+                supervised(SupervisorOptions::with_backoff(2, 8)),
+            )
+            .report;
         assert!(report.quiescent);
         assert_eq!(report.trace.seq_on(d()), baseline.trace.seq_on(d()));
         let rec = &report.recoveries[0];
@@ -2047,11 +1907,13 @@ mod tests {
     fn escalate_policy_fails_the_run_on_first_crash() {
         let mut net = pipeline();
         net.wrap_crash_at(1, 2);
-        let report = net.run_supervised(
-            &mut RoundRobin::new(),
-            RunOptions::default(),
-            SupervisorOptions::escalate(),
-        );
+        let report = net
+            .run_with(
+                &mut RoundRobin::new(),
+                RunOptions::default(),
+                supervised(SupervisorOptions::escalate()),
+            )
+            .report;
         assert!(!report.quiescent);
         assert!(
             matches!(report.status, RunStatus::Escalated { ref process } if process.contains("double")),
@@ -2064,11 +1926,13 @@ mod tests {
     fn restart_budget_escalates_when_exceeded() {
         let mut net = pipeline();
         net.wrap_crash_at(1, 2);
-        let report = net.run_supervised(
-            &mut RoundRobin::new(),
-            RunOptions::default(),
-            SupervisorOptions::one_for_one().max_restarts(0),
-        );
+        let report = net
+            .run_with(
+                &mut RoundRobin::new(),
+                RunOptions::default(),
+                supervised(SupervisorOptions::one_for_one().max_restarts(0)),
+            )
+            .report;
         assert!(matches!(report.status, RunStatus::Escalated { .. }));
     }
 
@@ -2079,15 +1943,17 @@ mod tests {
         // still armed
         let mut net = pipeline();
         net.wrap_crash_at(1, 2);
-        let report = net.run_supervised(
-            &mut RoundRobin::new(),
-            RunOptions {
-                max_steps: 5,
-                seed: 0,
-                ..RunOptions::default()
-            },
-            SupervisorOptions::one_for_one(),
-        );
+        let report = net
+            .run_with(
+                &mut RoundRobin::new(),
+                RunOptions {
+                    max_steps: 5,
+                    seed: 0,
+                    ..RunOptions::default()
+                },
+                supervised(SupervisorOptions::one_for_one()),
+            )
+            .report;
         assert_eq!(report.status, RunStatus::BudgetExhaustedDuringRecovery);
         assert!(!report.quiescent);
         // the same bound without supervision is plain exhaustion
@@ -2113,8 +1979,13 @@ mod tests {
                 fault: Fault::Drop { period: 2 },
             }],
         };
-        let report =
-            pipeline().run_report_faulted(&mut RoundRobin::new(), RunOptions::default(), &schedule);
+        let report = pipeline()
+            .run_with(
+                &mut RoundRobin::new(),
+                RunOptions::default(),
+                faulted(&schedule),
+            )
+            .report;
         assert!(report.quiescent);
         // message #2 on c is swallowed before it ever reaches the trace
         assert_eq!(
@@ -2141,8 +2012,13 @@ mod tests {
             }],
         };
         let baseline = pipeline().run_report(&mut RoundRobin::new(), RunOptions::default());
-        let report =
-            pipeline().run_report_faulted(&mut RoundRobin::new(), RunOptions::default(), &schedule);
+        let report = pipeline()
+            .run_with(
+                &mut RoundRobin::new(),
+                RunOptions::default(),
+                faulted(&schedule),
+            )
+            .report;
         assert!(report.quiescent, "delayed links drain before quiescence");
         assert_eq!(report.trace.seq_on(c()), baseline.trace.seq_on(c()));
         assert_eq!(report.trace.seq_on(d()), baseline.trace.seq_on(d()));
@@ -2159,21 +2035,58 @@ mod tests {
             }],
             links: vec![],
         };
-        let report = pipeline().run_supervised_faulted(
-            &mut RoundRobin::new(),
-            RunOptions::default(),
-            SupervisorOptions::one_for_one(),
-            &schedule,
-        );
+        let with = RunWith {
+            supervisor: Some(SupervisorOptions::one_for_one()),
+            ..faulted(&schedule)
+        };
+        let report = pipeline()
+            .run_with(&mut RoundRobin::new(), RunOptions::default(), with)
+            .report;
         assert!(report.quiescent, "recovered:\n{report}");
         assert_eq!(report.trace.seq_on(c()), baseline.trace.seq_on(c()));
         assert_eq!(report.trace.seq_on(d()), baseline.trace.seq_on(d()));
         assert_eq!(report.recoveries.len(), 1);
         // unsupervised, the same crash loses the tail of d's history
-        let report =
-            pipeline().run_report_faulted(&mut RoundRobin::new(), RunOptions::default(), &schedule);
+        let report = pipeline()
+            .run_with(
+                &mut RoundRobin::new(),
+                RunOptions::default(),
+                faulted(&schedule),
+            )
+            .report;
         assert!(report.processes[1].crashed);
         assert!(report.trace.seq_on(d()).take(8).len() < 3);
+    }
+
+    /// A checkpointed run with `extra` attached must be refused.
+    fn checkpoint_with(extra: RunWith<'_>) {
+        let with = RunWith {
+            checkpoint_at: Some(2),
+            ..extra
+        };
+        let _ = pipeline().run_with(&mut RoundRobin::new(), RunOptions::default(), with);
+    }
+
+    #[test]
+    #[should_panic(expected = "`checkpoint_at` cannot be combined with `faults`")]
+    fn checkpoint_with_faults_is_rejected() {
+        checkpoint_with(faulted(&FaultSchedule::none()));
+    }
+
+    #[test]
+    #[should_panic(expected = "`checkpoint_at` cannot be combined with `reliable`")]
+    fn checkpoint_with_reliable_is_rejected() {
+        let cfg = ReliableConfig::new(vec![c()]);
+        checkpoint_with(RunWith {
+            reliable: Some(&cfg),
+            ..RunWith::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "`checkpoint_at` cannot be combined with `supervisor`")]
+    fn checkpoint_with_supervisor_is_rejected() {
+        checkpoint_with(supervised(SupervisorOptions::one_for_one()));
     }
 
     #[test]

@@ -4,30 +4,19 @@
 //! pairing of its component descriptions — so a lossy channel wrapped in
 //! a recovery protocol whose *composite* description is the identity
 //! certifies exactly like a perfect wire. This module supplies that
-//! wrapper at two levels:
-//!
-//! * **Engine level** ([`ReliableConfig`] +
-//!   [`Network::run_report_reliable`](crate::Network::run_report_reliable)):
-//!   every send on a protected channel enters an ARQ sender
-//!   (sequence-numbered frames, bounded in-flight window), crosses a
-//!   faulty medium (the channel's
-//!   [`LinkFaultSpec`](crate::faults::LinkFaultSpec), if any), and is
-//!   re-sequenced by a receive-side dedup/reorder window before being
-//!   delivered — in order, exactly once — onto the real channel.
-//!   Cumulative acks flow back over their own (optionally faulty)
-//!   medium; unacked frames are retransmitted on a deterministic
-//!   round-counted timer with exponential backoff and a per-link retry
-//!   budget. The composite is the identity description, so PR 2's
-//!   convicted drop/duplicate/reorder schedules certify as
-//!   [`Verdict::SmoothSolution`](crate::Verdict) again.
-//! * **Process level** ([`ReliableSender`] / [`ReliableReceiver`] /
-//!   [`wire`]): the same protocol as ordinary network processes with a
-//!   concrete wire format ([`Value::Pair`] frames carrying `seq mod 256`
-//!   tags, [`Value::Int`] cumulative acks), full
-//!   [`Process::snapshot`](crate::Process::snapshot()) participation, and
-//!   explicit [`FaultyLink`] media — the form used to
-//!   mask a *specific* faulty link inside a hand-built network, and the
-//!   form that checkpoint/resume can capture byte-identically.
+//! wrapper at engine level ([`ReliableConfig`], attached through
+//! [`RunWith::reliable`](crate::RunWith::reliable)): every send on a
+//! protected channel enters an ARQ sender (sequence-numbered frames,
+//! bounded in-flight window), crosses a faulty medium (the channel's
+//! [`LinkFaultSpec`](crate::faults::LinkFaultSpec), if any), and is
+//! re-sequenced by a receive-side dedup/reorder window before being
+//! delivered — in order, exactly once — onto the real channel.
+//! Cumulative acks flow back over their own (optionally faulty) medium;
+//! unacked frames are retransmitted on a deterministic round-counted
+//! timer with exponential backoff and a per-link retry budget. The
+//! composite is the identity description, so drop/duplicate/reorder
+//! schedules that convict a bare link certify as
+//! [`Verdict::SmoothSolution`](crate::Verdict) once it is protected.
 //!
 //! On budget exhaustion the link degrades gracefully instead of hanging:
 //! it abandons its in-flight state, logs a
@@ -37,25 +26,20 @@
 //! that status to [`Verdict::Degraded`](crate::Verdict).
 
 use crate::chanmap::ChanMap;
-use crate::faults::{Fault, FaultEvent, FaultKind, FaultyLink};
-use crate::network::Network;
-use crate::process::{raw_send, Process, StepCtx, StepResult};
+use crate::faults::{Fault, FaultEvent, FaultKind};
+use crate::process::raw_send;
 use crate::report::Telemetry;
-use crate::snapshot::StateCell;
 use eqp_trace::{Chan, Event, Value};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::{BTreeMap, VecDeque};
 
-/// ARQ protocol parameters, shared by the engine-level and
-/// process-level implementations. All timing is in deterministic
-/// scheduler rounds (engine level) or scheduled steps (process level) —
-/// there are no wall clocks anywhere in the runtime.
+/// ARQ protocol parameters. All timing is in deterministic scheduler
+/// rounds — there are no wall clocks anywhere in the runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ArqOptions {
     /// Maximum unacked frames in flight; further sends queue in the
-    /// sender's backlog. The process-level wire format requires
-    /// `window <= 127` (sequence tags are `mod 256`).
+    /// sender's backlog.
     pub window: usize,
     /// Rounds to wait for an ack before the first retransmission.
     pub timeout_rounds: usize,
@@ -103,8 +87,8 @@ impl ArqOptions {
 }
 
 /// Engine-level reliable-transport configuration: which channels to
-/// protect and how. Passed to
-/// [`Network::run_report_reliable`](crate::Network::run_report_reliable);
+/// protect and how. Attached through
+/// [`RunWith::reliable`](crate::RunWith::reliable);
 /// any [`LinkFaultSpec`](crate::faults::LinkFaultSpec) naming a
 /// protected channel becomes the ARQ *medium* for that channel instead
 /// of a bare faulty link.
@@ -535,453 +519,6 @@ impl ReliableLink {
     }
 }
 
-/// Builds the process-level frame `Pair(seq mod 256, payload)`.
-fn frame(seq: u64, payload: i64) -> Value {
-    Value::Pair((seq % 256) as u8, payload)
-}
-
-/// The mod-256 delta from `base`'s tag to `tag`, for reconstructing
-/// absolute sequence numbers from wire tags.
-fn tag_delta(tag: u64, base: u64) -> u64 {
-    (tag + 256 - base % 256) % 256
-}
-
-/// The sending half of the process-level ARQ protocol: pops payloads
-/// from `input`, emits sequence-tagged frames on `frame_out`
-/// (retransmitting on a deterministic step-counted timer with
-/// exponential backoff), and consumes cumulative acks from `ack_in`.
-/// Carries [`Value::Int`] payloads only (the `Pair` wire format has one
-/// integer slot).
-///
-/// On retry-budget exhaustion the sender *halts* instead of hanging: it
-/// abandons its window, logs a [`FaultKind::RetryExhausted`] fault
-/// event, and goes permanently idle — the network then quiesces and the
-/// truncated history certifies as a smooth prefix.
-pub struct ReliableSender {
-    name: String,
-    input: Chan,
-    frame_out: Chan,
-    ack_in: Chan,
-    arq: ArqOptions,
-    next_seq: u64,
-    unacked: VecDeque<(u64, i64)>,
-    timer: usize,
-    attempt: usize,
-    halted: bool,
-    retransmits: u64,
-}
-
-impl ReliableSender {
-    /// Creates a sender forwarding `input` payloads as frames on
-    /// `frame_out`, acked via `ack_in`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `1 <= arq.window <= 127` (wire tags are mod 256, so
-    /// unambiguous reconstruction needs a half-range window).
-    pub fn new(
-        name: impl Into<String>,
-        input: Chan,
-        frame_out: Chan,
-        ack_in: Chan,
-        arq: ArqOptions,
-    ) -> ReliableSender {
-        assert!(
-            (1..=127).contains(&arq.window),
-            "process-level ARQ windows must be in 1..=127 (mod-256 wire tags)"
-        );
-        ReliableSender {
-            name: name.into(),
-            input,
-            frame_out,
-            ack_in,
-            arq,
-            next_seq: 0,
-            unacked: VecDeque::new(),
-            timer: 0,
-            attempt: 0,
-            halted: false,
-            retransmits: 0,
-        }
-    }
-
-    /// Total retransmissions performed (recovery-cost diagnostic).
-    pub fn retransmits(&self) -> u64 {
-        self.retransmits
-    }
-
-    /// True iff the sender halted — retry budget exhausted, or a
-    /// wrong-shape payload poisoned it ([`FaultKind::PayloadRejected`]).
-    pub fn halted(&self) -> bool {
-        self.halted
-    }
-}
-
-impl Process for ReliableSender {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn inputs(&self) -> Vec<Chan> {
-        vec![self.input, self.ack_in]
-    }
-
-    fn outputs(&self) -> Vec<Chan> {
-        vec![self.frame_out]
-    }
-
-    fn step(&mut self, ctx: &mut StepCtx<'_>) -> StepResult {
-        // Drain acks first: cumulative, so only the newest matters.
-        let mut advanced = false;
-        while let Some(a) = ctx.pop(self.ack_in) {
-            let Value::Int(tag) = a else { continue };
-            let floor = self.unacked.front().map_or(self.next_seq, |&(s, _)| s);
-            let upto = floor + tag_delta(tag.rem_euclid(256) as u64, floor);
-            if upto > self.next_seq {
-                continue; // stale tag from before the window advanced
-            }
-            while self.unacked.front().is_some_and(|&(s, _)| s < upto) {
-                self.unacked.pop_front();
-                advanced = true;
-            }
-        }
-        if advanced {
-            self.timer = self.arq.timeout_rounds;
-            self.attempt = 0;
-        }
-        if self.halted {
-            return if advanced {
-                StepResult::Progress
-            } else {
-                StepResult::Idle
-            };
-        }
-        // Window send.
-        if self.unacked.len() < self.arq.window {
-            if let Some(v) = ctx.pop(self.input) {
-                let Value::Int(n) = v else {
-                    // Int payloads only (the wire frame is `(seq, n)`).
-                    // Anything else poisons the sender: log the rejected
-                    // payload, abandon the window, and degrade — tenant
-                    // wiring mistakes must never panic the runtime.
-                    ctx.note_fault(FaultEvent {
-                        chan: self.input,
-                        seq: self.next_seq as usize + 1,
-                        kind: FaultKind::PayloadRejected,
-                        value: v,
-                    });
-                    self.halted = true;
-                    self.unacked.clear();
-                    return StepResult::Progress;
-                };
-                let s = self.next_seq;
-                self.next_seq += 1;
-                if self.unacked.is_empty() {
-                    self.timer = self.arq.timeout_rounds;
-                    self.attempt = 0;
-                }
-                self.unacked.push_back((s, n));
-                ctx.send(self.frame_out, frame(s, n));
-                return StepResult::Progress;
-            }
-        }
-        // Retransmission timer: each scheduled step while frames are in
-        // flight ticks it down; expiry retransmits the oldest frame or —
-        // once the budget is spent — degrades.
-        if !self.unacked.is_empty() {
-            if self.timer > 1 {
-                self.timer -= 1;
-                return StepResult::Progress;
-            }
-            let &(s, n) = self.unacked.front().expect("nonempty");
-            if self.attempt >= self.arq.max_retries {
-                ctx.note_fault(FaultEvent {
-                    chan: self.frame_out,
-                    seq: s as usize + 1,
-                    kind: FaultKind::RetryExhausted,
-                    value: Value::Int(n),
-                });
-                self.halted = true;
-                self.unacked.clear();
-            } else {
-                self.attempt += 1;
-                self.retransmits += 1;
-                self.timer = self.arq.backoff(self.attempt);
-                ctx.send(self.frame_out, frame(s, n));
-            }
-            return StepResult::Progress;
-        }
-        if advanced {
-            StepResult::Progress
-        } else {
-            StepResult::Idle
-        }
-    }
-
-    fn snapshot(&self) -> Option<StateCell> {
-        Some(StateCell::List(vec![
-            StateCell::Nat(self.next_seq),
-            StateCell::Nats(self.unacked.iter().map(|&(s, _)| s).collect()),
-            StateCell::Values(self.unacked.iter().map(|&(_, n)| Value::Int(n)).collect()),
-            StateCell::Nat(self.timer as u64),
-            StateCell::Nat(self.attempt as u64),
-            StateCell::Flag(self.halted),
-            StateCell::Nat(self.retransmits),
-        ]))
-    }
-
-    fn restore(&mut self, state: &StateCell) -> bool {
-        let Some([next_seq, seqs, values, timer, attempt, halted, retransmits]) =
-            state.as_list().and_then(|l| <&[_; 7]>::try_from(l).ok())
-        else {
-            return false;
-        };
-        let (Some(next_seq), Some(seqs), Some(values), Some(timer), Some(attempt)) = (
-            next_seq.as_nat(),
-            seqs.as_nats(),
-            values.as_values(),
-            timer.as_nat(),
-            attempt.as_nat(),
-        ) else {
-            return false;
-        };
-        let (Some(halted), Some(retransmits)) = (halted.as_flag(), retransmits.as_nat()) else {
-            return false;
-        };
-        if seqs.len() != values.len() {
-            return false;
-        }
-        let mut unacked = VecDeque::with_capacity(seqs.len());
-        for (&s, v) in seqs.iter().zip(values) {
-            let Value::Int(n) = v else { return false };
-            unacked.push_back((s, *n));
-        }
-        self.next_seq = next_seq;
-        self.unacked = unacked;
-        self.timer = timer as usize;
-        self.attempt = attempt as usize;
-        self.halted = halted;
-        self.retransmits = retransmits;
-        true
-    }
-
-    fn reset(&mut self) -> bool {
-        self.next_seq = 0;
-        self.unacked.clear();
-        self.timer = 0;
-        self.attempt = 0;
-        self.halted = false;
-        self.retransmits = 0;
-        true
-    }
-}
-
-/// The receiving half of the process-level ARQ protocol: pops frames
-/// from `frame_in`, de-duplicates and re-sequences them in a mod-256
-/// reorder window, delivers payloads in order on `output`, and emits a
-/// cumulative ack on `ack_out` for every frame received (re-acking
-/// duplicates is what recovers from lost acks).
-pub struct ReliableReceiver {
-    name: String,
-    frame_in: Chan,
-    output: Chan,
-    ack_out: Chan,
-    /// Next in-order sequence number to deliver.
-    expected: u64,
-    /// Out-of-order payloads buffered for re-sequencing.
-    buffer: BTreeMap<u64, i64>,
-    /// Set when a wrong-shape frame arrived: the receiver stops
-    /// transporting (discarding further frames) instead of panicking.
-    poisoned: bool,
-}
-
-impl ReliableReceiver {
-    /// Creates a receiver re-sequencing `frame_in` onto `output`, acking
-    /// on `ack_out`.
-    pub fn new(
-        name: impl Into<String>,
-        frame_in: Chan,
-        output: Chan,
-        ack_out: Chan,
-    ) -> ReliableReceiver {
-        ReliableReceiver {
-            name: name.into(),
-            frame_in,
-            output,
-            ack_out,
-            expected: 0,
-            buffer: BTreeMap::new(),
-            poisoned: false,
-        }
-    }
-
-    /// True iff a wrong-shape frame poisoned this receiver
-    /// ([`FaultKind::PayloadRejected`]).
-    pub fn poisoned(&self) -> bool {
-        self.poisoned
-    }
-}
-
-impl Process for ReliableReceiver {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn inputs(&self) -> Vec<Chan> {
-        vec![self.frame_in]
-    }
-
-    fn outputs(&self) -> Vec<Chan> {
-        vec![self.output, self.ack_out]
-    }
-
-    fn step(&mut self, ctx: &mut StepCtx<'_>) -> StepResult {
-        match ctx.pop(self.frame_in) {
-            Some(frame) if self.poisoned => {
-                // Drain and discard: a poisoned receiver keeps the
-                // channel from backing up but transports nothing.
-                let _ = frame;
-                StepResult::Progress
-            }
-            Some(Value::Pair(tag, n)) => {
-                let delta = tag_delta(u64::from(tag), self.expected);
-                if delta < 128 {
-                    // In or ahead of the window: buffer (dedup by key)
-                    // and flush whatever became contiguous.
-                    self.buffer.entry(self.expected + delta).or_insert(n);
-                    while let Some(n) = self.buffer.remove(&self.expected) {
-                        ctx.send(self.output, Value::Int(n));
-                        self.expected += 1;
-                    }
-                }
-                // Behind the window (delta >= 128): a stale duplicate —
-                // discard, but still re-ack.
-                ctx.send(self.ack_out, Value::Int((self.expected % 256) as i64));
-                StepResult::Progress
-            }
-            Some(other) => {
-                // Pair frames only. A wrong-shape frame poisons the
-                // receiver: log it, stop transporting, degrade — never
-                // panic on data that may originate from a tenant spec.
-                ctx.note_fault(FaultEvent {
-                    chan: self.frame_in,
-                    seq: self.expected as usize + 1,
-                    kind: FaultKind::PayloadRejected,
-                    value: other,
-                });
-                self.poisoned = true;
-                self.buffer.clear();
-                StepResult::Progress
-            }
-            None => StepResult::Idle,
-        }
-    }
-
-    fn snapshot(&self) -> Option<StateCell> {
-        Some(StateCell::List(vec![
-            StateCell::Nat(self.expected),
-            StateCell::Nats(self.buffer.keys().copied().collect()),
-            StateCell::Values(self.buffer.values().map(|&n| Value::Int(n)).collect()),
-            StateCell::Flag(self.poisoned),
-        ]))
-    }
-
-    fn restore(&mut self, state: &StateCell) -> bool {
-        let Some([expected, seqs, values, poisoned]) =
-            state.as_list().and_then(|l| <&[_; 4]>::try_from(l).ok())
-        else {
-            return false;
-        };
-        let (Some(expected), Some(seqs), Some(values), Some(poisoned)) = (
-            expected.as_nat(),
-            seqs.as_nats(),
-            values.as_values(),
-            poisoned.as_flag(),
-        ) else {
-            return false;
-        };
-        if seqs.len() != values.len() {
-            return false;
-        }
-        let mut buffer = BTreeMap::new();
-        for (&s, v) in seqs.iter().zip(values) {
-            let Value::Int(n) = v else { return false };
-            buffer.insert(s, *n);
-        }
-        self.expected = expected;
-        self.buffer = buffer;
-        self.poisoned = poisoned;
-        true
-    }
-
-    fn reset(&mut self) -> bool {
-        self.expected = 0;
-        self.buffer.clear();
-        self.poisoned = false;
-        true
-    }
-}
-
-/// Wires a complete reliable transport from `input` to `output` into
-/// `net`: a [`ReliableSender`], an optional [`FaultyLink`] data medium,
-/// a [`ReliableReceiver`], and an optional [`FaultyLink`] ack medium.
-/// `aux` supplies the four internal channels
-/// `[frames, frames after the medium, acks, acks after the medium]`
-/// (the post-medium channels are unused when the corresponding fault is
-/// `None`). The composite subnetwork's description is the identity from
-/// `input` to `output` — certify it with the auxiliary channels hidden
-/// ([`ConformanceOptions::visible`](crate::ConformanceOptions)).
-#[allow(clippy::too_many_arguments)]
-pub fn wire(
-    net: &mut Network,
-    name: &str,
-    input: Chan,
-    output: Chan,
-    aux: [Chan; 4],
-    fault: Option<Fault>,
-    ack_fault: Option<Fault>,
-    arq: ArqOptions,
-) {
-    let [frames, frames_rx, acks, acks_rx] = aux;
-    let receiver_in = match fault {
-        Some(f) => {
-            net.add(FaultyLink::new(
-                format!("{name}.medium"),
-                frames,
-                frames_rx,
-                f,
-            ));
-            frames_rx
-        }
-        None => frames,
-    };
-    let sender_ack = match ack_fault {
-        Some(f) => {
-            net.add(FaultyLink::new(
-                format!("{name}.ack-medium"),
-                acks,
-                acks_rx,
-                f,
-            ));
-            acks_rx
-        }
-        None => acks,
-    };
-    net.add(ReliableSender::new(
-        format!("{name}.tx"),
-        input,
-        frames,
-        sender_ack,
-        arq,
-    ));
-    net.add(ReliableReceiver::new(
-        format!("{name}.rx"),
-        receiver_in,
-        output,
-        acks,
-    ));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1072,102 +609,5 @@ mod tests {
             ..ArqOptions::default()
         };
         assert_eq!(zero.backoff(0), 1, "never zero");
-    }
-
-    #[test]
-    fn tag_reconstruction_round_trips_across_wraparound() {
-        for base in [0u64, 100, 255, 256, 300, 1000] {
-            for ahead in 0..127 {
-                let seq = base + ahead;
-                let tag = seq % 256;
-                assert_eq!(base + tag_delta(tag, base), seq);
-            }
-        }
-    }
-
-    #[test]
-    fn wrong_shape_payload_poisons_sender_instead_of_panicking() {
-        use crate::procs::Source;
-        use crate::scheduler::RoundRobin;
-        use crate::{Network, RunOptions};
-        let (input, frames, output, acks) =
-            (Chan::new(0), Chan::new(1), Chan::new(2), Chan::new(3));
-        let mut net = Network::new();
-        // a Bit in an Int-only transport: tenant wiring mistake
-        net.add(Source::new(
-            "env",
-            input,
-            [Value::Int(1), Value::tt(), Value::Int(2)],
-        ));
-        net.add(ReliableSender::new(
-            "tx",
-            input,
-            frames,
-            acks,
-            ArqOptions::default(),
-        ));
-        net.add(ReliableReceiver::new("rx", frames, output, acks));
-        let report = net.run_report(&mut RoundRobin::new(), RunOptions::default());
-        // the payload before the poison still delivered; the rejection is
-        // a named fault, not a process abort
-        assert_eq!(
-            report.trace.seq_on(output).take(10),
-            vec![Value::Int(1)],
-            "prefix before the poison delivers"
-        );
-        let rejected: Vec<_> = report
-            .fault_log()
-            .iter()
-            .filter(|f| f.event.kind == FaultKind::PayloadRejected)
-            .collect();
-        assert_eq!(rejected.len(), 1, "{:?}", report.fault_log());
-        assert_eq!(rejected[0].source, "tx");
-        assert_eq!(rejected[0].event.value, Value::tt());
-    }
-
-    #[test]
-    fn wrong_shape_frame_poisons_receiver_instead_of_panicking() {
-        use crate::procs::Source;
-        use crate::scheduler::RoundRobin;
-        use crate::{Network, RunOptions};
-        let (frames, output, acks) = (Chan::new(0), Chan::new(1), Chan::new(2));
-        let mut net = Network::new();
-        // raw non-Pair bytes straight into the receiver
-        net.add(Source::new(
-            "env",
-            frames,
-            [Value::Pair(0, 5), Value::Int(9), Value::Pair(1, 6)],
-        ));
-        net.add(ReliableReceiver::new("rx", frames, output, acks));
-        let report = net.run_report(&mut RoundRobin::new(), RunOptions::default());
-        assert_eq!(
-            report.trace.seq_on(output).take(10),
-            vec![Value::Int(5)],
-            "in-order prefix before the poison delivers; nothing after"
-        );
-        let rejected: Vec<_> = report
-            .fault_log()
-            .iter()
-            .filter(|f| f.event.kind == FaultKind::PayloadRejected)
-            .collect();
-        assert_eq!(rejected.len(), 1, "{:?}", report.fault_log());
-        assert_eq!(rejected[0].source, "rx");
-        assert_eq!(rejected[0].event.value, Value::Int(9));
-        assert!(report.quiescent, "the poisoned run still terminates");
-    }
-
-    #[test]
-    #[should_panic(expected = "1..=127")]
-    fn oversized_process_window_rejected() {
-        let _ = ReliableSender::new(
-            "tx",
-            Chan::new(0),
-            Chan::new(1),
-            Chan::new(2),
-            ArqOptions {
-                window: 128,
-                ..ArqOptions::default()
-            },
-        );
     }
 }

@@ -154,10 +154,6 @@ pub enum SnapshotError {
     },
     /// The scheduler could not capture or restore its state.
     SchedulerUnsupported,
-    /// A monitored resume was requested but the checkpoint was captured
-    /// from an unmonitored run, so there is no monitor state to restore —
-    /// online certification cannot pick up mid-trace without it.
-    NoMonitor,
 }
 
 impl fmt::Display for SnapshotError {
@@ -179,13 +175,6 @@ impl fmt::Display for SnapshotError {
             SnapshotError::SchedulerUnsupported => {
                 write!(f, "the scheduler does not support snapshot/restore")
             }
-            SnapshotError::NoMonitor => {
-                write!(
-                    f,
-                    "the checkpoint was captured from an unmonitored run; \
-                     monitored resume needs the monitor's evaluator state"
-                )
-            }
         }
     }
 }
@@ -196,9 +185,9 @@ impl std::error::Error for SnapshotError {}
 /// built network (and scheduler) and the resumed run is byte-identical —
 /// trace and report meters — to the uninterrupted one.
 ///
-/// Obtained from
-/// [`Network::run_report_checkpointed`](crate::Network::run_report_checkpointed);
-/// consumed by [`Network::resume_report`](crate::Network::resume_report).
+/// Obtained from [`Network::run_with`](crate::Network::run_with) with
+/// [`RunWith::checkpoint_at`](crate::RunWith::checkpoint_at) set;
+/// consumed by [`Network::resume`](crate::Network::resume).
 #[derive(Clone)]
 pub struct Checkpoint {
     /// Progress steps completed at capture time.
@@ -249,7 +238,7 @@ impl Checkpoint {
     }
 
     /// True iff every process state was captured — required for
-    /// whole-run [`resume`](crate::Network::resume_report).
+    /// whole-run [`resume`](crate::Network::resume).
     pub fn is_complete(&self) -> bool {
         self.processes.iter().all(|c| c.is_some()) && self.scheduler.is_some()
     }
@@ -260,8 +249,8 @@ impl Checkpoint {
     }
 
     /// True iff the checkpoint carries online-monitor state (captured
-    /// from a monitored run) and so supports
-    /// [`resume_report_monitored`](crate::Network::resume_report_monitored).
+    /// from a monitored run), so that its
+    /// [`resume`](crate::Network::resume) continues certification.
     pub fn has_monitor(&self) -> bool {
         self.monitor.is_some()
     }

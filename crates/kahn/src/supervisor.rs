@@ -2,7 +2,7 @@
 //! replay.
 //!
 //! A supervised run
-//! ([`Network::run_supervised`](crate::Network::run_supervised)) watches
+//! ([`RunWith::supervisor`](crate::RunWith::supervisor)) watches
 //! every process for crashes
 //! (engine-injected [`CrashPoint`](crate::faults::CrashPoint)s or
 //! [`CrashAt`](crate::CrashAt) wrappers reporting
@@ -32,9 +32,8 @@
 //!    projected history is unchanged).
 //!
 //! The same invariant is what lets supervision compose with *online*
-//! certification
-//! ([`run_supervised_monitored_faulted`](crate::Network::run_supervised_monitored_faulted)
-//! / [`run_supervised_monitored_reliable`](crate::Network::run_supervised_monitored_reliable)):
+//! certification (a [`RunWith`](crate::RunWith) with both a `supervisor`
+//! and a `monitor`):
 //! the [`SmoothnessMonitor`](crate::monitor::SmoothnessMonitor) observes
 //! only *committed* sends from the global trace, and replayed sends are
 //! suppressed before commit, so a crash-recovery cycle feeds the monitor

@@ -935,10 +935,9 @@ fn skim_body(d: &mut Dec<'_>) -> Result<(usize, usize, usize), WireError> {
 /// allocations), and [`CheckpointView::to_checkpoint`] an infallible
 /// single materialization when the caller decides to actually resume.
 ///
-/// The intended resume path is `Network::resume_report_view`, which
-/// materializes the view once and *moves* its parts into the engine —
-/// skipping the second deep copy the borrowing
-/// [`resume_report`](crate::Network::resume_report) path pays.
+/// The intended resume path materializes the view once and moves the
+/// result into [`Network::resume`](crate::Network::resume), which takes
+/// the checkpoint by value.
 #[derive(Clone, Copy)]
 pub struct CheckpointView<'a> {
     /// The image body past the magic, trailer excluded — already
@@ -1022,7 +1021,7 @@ mod tests {
     use crate::oracle::Oracle;
     use crate::procs::{Merge2, Source};
     use crate::scheduler::RandomSched;
-    use crate::{Network, RunOptions};
+    use crate::{Network, RunOptions, RunWith};
 
     fn a() -> Chan {
         Chan::new(0)
@@ -1052,6 +1051,13 @@ mod tests {
         net
     }
 
+    fn checkpoint_at(at: usize) -> RunWith<'static> {
+        RunWith {
+            checkpoint_at: Some(at),
+            ..RunWith::default()
+        }
+    }
+
     fn opts() -> RunOptions {
         RunOptions {
             max_steps: 10_000,
@@ -1061,8 +1067,10 @@ mod tests {
     }
 
     fn mid_checkpoint() -> Checkpoint {
-        let (_, ckpt) = merge_net().run_report_checkpointed(&mut RandomSched::new(5), opts(), 25);
-        ckpt.expect("run reaches step 25")
+        merge_net()
+            .run_with(&mut RandomSched::new(5), opts(), checkpoint_at(25))
+            .checkpoint
+            .expect("run reaches step 25")
     }
 
     #[test]
@@ -1086,8 +1094,9 @@ mod tests {
         // uninterrupted run
         let mut sched = RandomSched::new(5);
         let resumed = merge_net()
-            .resume_report(&back, &mut sched, opts())
-            .expect("resume");
+            .resume(back, &mut sched, opts(), None)
+            .expect("resume")
+            .report;
         assert_eq!(format!("{full:?}"), format!("{resumed:?}"));
     }
 
@@ -1097,19 +1106,21 @@ mod tests {
         // checkpoint through its byte image — the daemon's
         // evict/resume loop in miniature
         let full = merge_net().run_report(&mut RandomSched::new(5), opts());
-        let (_, first) = merge_net().run_report_checkpointed(&mut RandomSched::new(5), opts(), 25);
+        let first = merge_net()
+            .run_with(&mut RandomSched::new(5), opts(), checkpoint_at(25))
+            .checkpoint;
         let mut ckpt = first.expect("captured");
         let final_report = loop {
             let bytes = ckpt.to_bytes().expect("encodes");
             let back = Checkpoint::from_bytes(&bytes).expect("decodes");
             let at = back.steps() + 25;
             let mut sched = RandomSched::new(5);
-            let (report, next) = merge_net()
-                .resume_report_checkpointed(&back, &mut sched, opts(), at)
+            let out = merge_net()
+                .resume(back, &mut sched, opts(), Some(at))
                 .expect("resume");
-            match next {
+            match out.checkpoint {
                 Some(n) => ckpt = n,
-                None => break report,
+                None => break out.report,
             }
         };
         assert_eq!(format!("{full:?}"), format!("{final_report:?}"));
@@ -1128,12 +1139,14 @@ mod tests {
         let via_decode = {
             let back = decode_checkpoint(&bytes).expect("decodes");
             merge_net()
-                .resume_report(&back, &mut RandomSched::new(5), opts())
+                .resume(back, &mut RandomSched::new(5), opts(), None)
                 .expect("resume")
+                .report
         };
         let via_view = merge_net()
-            .resume_report_view(&view, &mut RandomSched::new(5), opts())
-            .expect("resume");
+            .resume(view.to_checkpoint(), &mut RandomSched::new(5), opts(), None)
+            .expect("resume")
+            .report;
         assert_eq!(format!("{full:?}"), format!("{via_view:?}"));
         assert_eq!(format!("{via_decode:?}"), format!("{via_view:?}"));
         // materialization is infallible and fingerprint-faithful

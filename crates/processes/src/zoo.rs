@@ -24,9 +24,7 @@ use crate::{
 };
 use eqp_core::Description;
 use eqp_kahn::conformance::{self, Conformance, ConformanceOptions};
-use eqp_kahn::faults::FaultSchedule;
-use eqp_kahn::reliable::ReliableConfig;
-use eqp_kahn::{MonitorPolicy, Network, Oracle, RunOptions, RunReport, Scheduler};
+use eqp_kahn::{Network, Oracle, RunOptions, RunReport, RunWith, Scheduler};
 use eqp_trace::{Event, Trace};
 
 /// One registered network/description pair.
@@ -65,118 +63,30 @@ impl ZooEntry {
     /// description, returning both the telemetry report and the
     /// conformance certificate.
     pub fn certify(&self, sched: &mut dyn Scheduler, seed: u64) -> (RunReport, Conformance) {
-        let mut net = self.network(seed);
-        let report = net.run_report(&mut &mut *sched, self.run_options(seed));
-        let conf = self.check(&report);
-        (report, conf)
+        self.certify_with(sched, self.run_options(seed), RunWith::default())
     }
 
-    /// [`certify`](ZooEntry::certify) with every channel `schedule`
-    /// faults wrapped in an engine-level reliable (ARQ) link masking
-    /// that fault — the Theorem 2 composition claim made executable:
-    /// retransmission + dedup makes each protected composite the
-    /// identity description, so faulted runs must certify exactly like
-    /// clean ones.
-    pub fn certify_reliable(
+    /// [`certify`](ZooEntry::certify) with `opts` and the attachments in
+    /// `with` (faults, reliable links, supervision, an online monitor —
+    /// see [`RunWith`]). The network is built from `opts.seed`. The
+    /// verdict is the online monitor's when `with.monitor` is set, and
+    /// the post-hoc [`check`](ZooEntry::check) otherwise; the
+    /// differential suite pins that the two agree on every entry.
+    pub fn certify_with(
         &self,
         sched: &mut dyn Scheduler,
-        seed: u64,
-        schedule: &FaultSchedule,
+        opts: RunOptions,
+        with: RunWith<'_>,
     ) -> (RunReport, Conformance) {
-        let mut net = self.network(seed);
-        let protect = schedule.links.iter().map(|l| l.chan).collect();
-        let cfg = ReliableConfig::new(protect);
-        let report =
-            net.run_report_reliable(&mut &mut *sched, self.run_options(seed), schedule, &cfg);
-        let conf = self.check(&report);
-        (report, conf)
+        let mut net = self.network(opts.seed);
+        let out = net.run_with(&mut &mut *sched, opts, with);
+        let conf = out.conformance.unwrap_or_else(|| self.check(&out.report));
+        (out.report, conf)
     }
 
-    /// [`certify`](ZooEntry::certify) with every consumed channel bounded
-    /// to `capacity` messages under blocking backpressure — the proof
-    /// obligation that backpressure is only a scheduler restriction:
-    /// quiescent bounded runs must certify identically to unbounded ones.
-    pub fn certify_bounded(
-        &self,
-        sched: &mut dyn Scheduler,
-        seed: u64,
-        capacity: usize,
-    ) -> (RunReport, Conformance) {
-        let mut net = self.network(seed);
-        let report = net.run_report(
-            &mut &mut *sched,
-            self.run_options(seed).with_capacity(capacity),
-        );
-        let conf = self.check(&report);
-        (report, conf)
-    }
-
-    /// [`certify`](ZooEntry::certify) with the verdict produced by the
-    /// *online* [`SmoothnessMonitor`](eqp_kahn::monitor::SmoothnessMonitor)
-    /// instead of the post-hoc re-walk: amortized O(1) per event, early
-    /// abort under [`MonitorPolicy::AbortOnViolation`]. The differential
-    /// suite pins that this agrees with [`certify`](ZooEntry::certify)
-    /// verdict-for-verdict on every entry.
-    pub fn certify_monitored(
-        &self,
-        sched: &mut dyn Scheduler,
-        seed: u64,
-        policy: MonitorPolicy,
-    ) -> (RunReport, Conformance) {
-        let mut net = self.network(seed);
-        let desc = self.description();
-        net.run_report_monitored(
-            &desc,
-            &mut &mut *sched,
-            self.run_options(seed).with_monitor(policy),
-        )
-    }
-
-    /// [`certify_monitored`](ZooEntry::certify_monitored) under an
-    /// engine-level [`FaultSchedule`] without supervision — faults are
-    /// convicted *as they corrupt the trace*, not after the run.
-    pub fn certify_monitored_faulted(
-        &self,
-        sched: &mut dyn Scheduler,
-        seed: u64,
-        policy: MonitorPolicy,
-        schedule: &FaultSchedule,
-    ) -> (RunReport, Conformance) {
-        let mut net = self.network(seed);
-        let desc = self.description();
-        net.run_report_monitored_faulted(
-            &desc,
-            &mut &mut *sched,
-            self.run_options(seed).with_monitor(policy),
-            schedule,
-        )
-    }
-
-    /// [`certify_reliable`](ZooEntry::certify_reliable) with the online
-    /// monitor: every faulted channel is ARQ-wrapped, and retry-budget
-    /// exhaustion degrades to the same
-    /// [`Verdict::Degraded`](eqp_kahn::Verdict) the post-hoc path maps.
-    pub fn certify_monitored_reliable(
-        &self,
-        sched: &mut dyn Scheduler,
-        seed: u64,
-        policy: MonitorPolicy,
-        schedule: &FaultSchedule,
-    ) -> (RunReport, Conformance) {
-        let mut net = self.network(seed);
-        let desc = self.description();
-        let protect = schedule.links.iter().map(|l| l.chan).collect();
-        let cfg = ReliableConfig::new(protect);
-        net.run_report_monitored_reliable(
-            &desc,
-            &mut &mut *sched,
-            self.run_options(seed).with_monitor(policy),
-            schedule,
-            &cfg,
-        )
-    }
-
-    fn run_options(&self, seed: u64) -> RunOptions {
+    /// The options [`certify`](ZooEntry::certify) runs with: the entry's
+    /// step bound and `seed`.
+    pub fn run_options(&self, seed: u64) -> RunOptions {
         RunOptions {
             max_steps: self.max_steps,
             seed,

@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --example compiled_monitor`
 
-use eqp::kahn::{MonitorPolicy, Oracle, RoundRobin, RunOptions};
+use eqp::kahn::{MonitorPolicy, Oracle, RoundRobin, RunOptions, RunWith};
 use eqp::processes::dfm;
 use eqp::seqfn::paper::ch;
 use eqp::seqfn::{CompiledSideEval, SeqExpr};
@@ -79,9 +79,13 @@ fn main() {
         max_steps: 120,
         seed: 7,
         ..RunOptions::default()
-    }
-    .with_monitor(MonitorPolicy::Observe);
-    let (report, conf) = net.run_report_monitored(&desc, &mut RoundRobin::new(), opts);
+    };
+    let with = RunWith {
+        monitor: Some((&desc, MonitorPolicy::Observe)),
+        ..RunWith::default()
+    };
+    let out = net.run_with(&mut RoundRobin::new(), opts, with);
+    let (report, conf) = (out.report, out.conformance.expect("monitored"));
     println!(
         "\n== Monitored run ==\n\n{} steps, quiescent={} -> {:?}",
         report.steps, report.quiescent, conf.verdict

@@ -16,7 +16,7 @@ use eqp::kahn::conformance::check_report;
 use eqp::kahn::conformance::ConformanceOptions;
 use eqp::kahn::faults::{Fault, FaultSchedule, LinkFaultSpec};
 use eqp::kahn::report::RunStatus;
-use eqp::kahn::{procs, MonitorPolicy, Network, Oracle, RoundRobin, RunOptions};
+use eqp::kahn::{procs, MonitorPolicy, Network, Oracle, RoundRobin, RunOptions, RunWith};
 use eqp::processes::dfm;
 use eqp::trace::Value;
 
@@ -60,11 +60,12 @@ fn main() {
     // 1. A clean run under an observing monitor: the certificate is
     //    produced as a side effect of running — no post-hoc re-walk.
     let mut net = merge_network(seed);
-    let (report, online) = net.run_report_monitored(
-        &desc,
-        &mut RoundRobin::new(),
-        opts(seed).with_monitor(MonitorPolicy::Observe),
-    );
+    let observe = RunWith {
+        monitor: Some((&desc, MonitorPolicy::Observe)),
+        ..RunWith::default()
+    };
+    let out = net.run_with(&mut RoundRobin::new(), opts(seed), observe);
+    let (report, online) = (out.report, out.conformance.expect("monitored"));
     println!(
         "clean run: {} steps, quiescent={} -> {:?}",
         report.steps, report.quiescent, online.verdict
@@ -89,12 +90,12 @@ fn main() {
         }],
     };
     let mut net = merge_network(seed);
-    let (report, observed) = net.run_report_monitored_faulted(
-        &desc,
-        &mut RoundRobin::new(),
-        opts(seed).with_monitor(MonitorPolicy::Observe),
-        &schedule,
-    );
+    let faulted = RunWith {
+        faults: Some(&schedule),
+        ..observe
+    };
+    let out = net.run_with(&mut RoundRobin::new(), opts(seed), faulted);
+    let (report, observed) = (out.report, out.conformance.expect("monitored"));
     println!(
         "dropped-link run (observe): {} steps -> {:?}",
         report.steps, observed.verdict
@@ -105,12 +106,12 @@ fn main() {
     //    step with the convicted component equation in the status —
     //    this is what makes chaos/ddmin trials cheap.
     let mut net = merge_network(seed);
-    let (aborted, conf) = net.run_report_monitored_faulted(
-        &desc,
-        &mut RoundRobin::new(),
-        opts(seed).with_monitor(MonitorPolicy::AbortOnViolation),
-        &schedule,
-    );
+    let aborting = RunWith {
+        monitor: Some((&desc, MonitorPolicy::AbortOnViolation)),
+        ..faulted
+    };
+    let out = net.run_with(&mut RoundRobin::new(), opts(seed), aborting);
+    let (aborted, conf) = (out.report, out.conformance.expect("monitored"));
     let RunStatus::MonitorAborted { component } = aborted.status else {
         panic!("expected a monitor abort, got {:?}", aborted.status);
     };

@@ -15,7 +15,7 @@
 use eqp::kahn::conformance::{check_report, ConformanceOptions};
 use eqp::kahn::faults::{Fault, FaultSchedule, LinkFaultSpec};
 use eqp::kahn::reliable::{ArqOptions, ReliableConfig};
-use eqp::kahn::{procs, Network, Oracle, RoundRobin, RunOptions};
+use eqp::kahn::{procs, Network, Oracle, RoundRobin, RunOptions, RunWith};
 use eqp::processes::dfm;
 use eqp::trace::Value;
 
@@ -75,7 +75,14 @@ fn main() {
         };
         let cfg = ReliableConfig::new(vec![dfm::D]);
         let mut net = merge_network(seed);
-        let report = net.run_report_reliable(&mut RoundRobin::new(), opts(seed), &schedule, &cfg);
+        let with = RunWith {
+            faults: Some(&schedule),
+            reliable: Some(&cfg),
+            ..RunWith::default()
+        };
+        let report = net
+            .run_with(&mut RoundRobin::new(), opts(seed), with)
+            .report;
         let on_d: Vec<i64> = report
             .trace
             .seq_on(dfm::D)
@@ -99,7 +106,14 @@ fn main() {
     };
     let cfg = ReliableConfig::new(vec![dfm::D]).arq(ArqOptions::impatient());
     let mut net = merge_network(seed);
-    let report = net.run_report_reliable(&mut RoundRobin::new(), opts(seed), &schedule, &cfg);
+    let with = RunWith {
+        faults: Some(&schedule),
+        reliable: Some(&cfg),
+        ..RunWith::default()
+    };
+    let report = net
+        .run_with(&mut RoundRobin::new(), opts(seed), with)
+        .report;
     println!("run ended: {}", report.status);
     let conf = check_report(&desc, &report, &ConformanceOptions::default());
     println!("{conf}\n");

@@ -12,7 +12,7 @@
 
 use eqp::kahn::chaos::{self, ChaosOptions};
 use eqp::kahn::conformance::{check_report, ConformanceOptions};
-use eqp::kahn::{RoundRobin, RunOptions, SupervisorOptions};
+use eqp::kahn::{RoundRobin, RunOptions, RunWith, SupervisorOptions};
 use eqp::processes::zoo::conformance_zoo;
 
 fn main() {
@@ -36,11 +36,11 @@ fn main() {
     //    one-for-one restart policy
     let mut net = entry.network(seed);
     net.wrap_crash_at(0, 2);
-    let recovered = net.run_supervised(
-        &mut RoundRobin::new(),
-        opts,
-        SupervisorOptions::one_for_one(),
-    );
+    let with = RunWith {
+        supervisor: Some(SupervisorOptions::one_for_one()),
+        ..RunWith::default()
+    };
+    let recovered = net.run_with(&mut RoundRobin::new(), opts, with).report;
     println!("== Crashed and recovered ==\n\n{recovered}");
     for r in &recovered.recoveries {
         println!("recovery: {r:?}");

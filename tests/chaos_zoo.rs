@@ -137,7 +137,7 @@ fn exhausted_retry_budget_degrades_gracefully_and_shrinks_to_the_lossy_link() {
         schedule,
     };
     let sup = SupervisorOptions::one_for_one();
-    let (report, conf) = chaos::run_trial(&scenario, &trial, sup);
+    let (report, conf) = chaos::run_trial(&scenario, &trial, sup, None);
     assert!(
         matches!(&report.status, RunStatus::ReliabilityExhausted { link } if link == "arq@ch120"),
         "expected graceful exhaustion on the protected input, got: {}",
@@ -203,7 +203,7 @@ fn pinned_drop_fault_shrinks_to_a_single_event_reproducer() {
         schedule,
     };
     let sup = SupervisorOptions::one_for_one();
-    let (_, conf) = chaos::run_trial(&scenario, &trial, sup);
+    let (_, conf) = chaos::run_trial(&scenario, &trial, sup, None);
     assert!(!conf.is_conformant(), "the noisy schedule must convict");
     // the early-abort monitored shrink must find the identical minimum,
     // and report its cost counters
@@ -235,7 +235,7 @@ fn pinned_drop_fault_shrinks_to_a_single_event_reproducer() {
         schedule: minimal,
         ..trial
     };
-    let (report, conf) = chaos::run_trial(&scenario, &minimal_trial, sup);
+    let (report, conf) = chaos::run_trial(&scenario, &minimal_trial, sup, None);
     assert!(!conf.is_conformant());
     assert!(
         conf.failing_component().is_some(),

@@ -5,12 +5,8 @@
 //! zoo. Capture itself is pure observation: the checkpointed run's
 //! outcome must equal the bare run's.
 
-use eqp::kahn::reliable::{self, ArqOptions};
-use eqp::kahn::{
-    procs, Adversarial, Fault, Network, RandomSched, RoundRobin, RunOptions, Scheduler,
-};
+use eqp::kahn::{Adversarial, RandomSched, RoundRobin, RunOptions, RunWith, Scheduler};
 use eqp::processes::zoo::conformance_zoo;
-use eqp::trace::{Chan, Value};
 
 /// Two identically constructed schedulers of the same kind — one for the
 /// full run, one for the resumed run (resume restores the scheduler's
@@ -26,96 +22,6 @@ fn scheduler_pair(kind: usize, seed: u64) -> (Box<dyn Scheduler>, Box<dyn Schedu
             Box::new(Adversarial::new(seed ^ 0xABCD)),
             Box::new(Adversarial::new(seed ^ 0xABCD)),
         ),
-    }
-}
-
-const W_IN: Chan = Chan::new(244);
-const W_OUT: Chan = Chan::new(245);
-const W_AUX: [Chan; 4] = [
-    Chan::new(246),
-    Chan::new(247),
-    Chan::new(248),
-    Chan::new(249),
-];
-
-/// A reliable transport over a lossy medium: source → ARQ sender →
-/// drop-every-other-frame link → ARQ receiver. Mid-run state spans the
-/// sender's retransmission window, the receiver's reorder buffer, *and*
-/// the faulty link's in-flight queue — the full satellite-1 surface.
-fn lossy_wire_pipeline() -> Network {
-    let mut net = Network::new();
-    net.add(procs::Source::new(
-        "env",
-        W_IN,
-        (1..=8).map(Value::Int).collect::<Vec<_>>(),
-    ));
-    reliable::wire(
-        &mut net,
-        "wire",
-        W_IN,
-        W_OUT,
-        W_AUX,
-        Some(Fault::Drop { period: 2 }),
-        None,
-        ArqOptions::default(),
-    );
-    net
-}
-
-/// A checkpoint taken mid-recovery — retransmissions pending, frames
-/// sitting in the lossy medium, the receiver holding an out-of-order
-/// window — resumes byte-identically and still masks the drop fault.
-#[test]
-fn reliable_wire_checkpoint_resume_is_byte_identical_under_drop() {
-    let opts = RunOptions {
-        max_steps: 4000,
-        seed: 3,
-        ..RunOptions::default()
-    };
-    for kind in 0..3 {
-        let (mut full_sched, _) = scheduler_pair(kind, 3);
-        let full = lossy_wire_pipeline().run_report(&mut full_sched, opts);
-        assert!(full.quiescent, "kind {kind}: ARQ must mask the drop");
-        assert_eq!(
-            full.trace.seq_on(W_OUT).take(9),
-            (1..=8).map(Value::Int).collect::<Vec<_>>(),
-            "kind {kind}: delivered history must be the identity"
-        );
-        // cut at several points, including deep inside recovery
-        for cut in [full.steps / 4, full.steps / 2, (3 * full.steps) / 4] {
-            let (mut ck_sched, mut resume_sched) = scheduler_pair(kind, 3);
-            let (partial, ckpt) =
-                lossy_wire_pipeline().run_report_checkpointed(&mut ck_sched, opts, cut);
-            assert_eq!(
-                partial.trace, full.trace,
-                "kind {kind}: capture perturbed the run"
-            );
-            let ckpt = ckpt.unwrap_or_else(|| panic!("kind {kind}: no checkpoint at {cut}"));
-            assert!(
-                ckpt.is_complete(),
-                "kind {kind}: ARQ endpoints and faulty links must all snapshot"
-            );
-            let resumed = lossy_wire_pipeline()
-                .resume_report(&ckpt, &mut resume_sched, opts)
-                .unwrap_or_else(|e| panic!("kind {kind}: resume failed: {e}"));
-            let tag = format!("kind {kind}, cut at {cut}");
-            assert_eq!(resumed.trace, full.trace, "{tag}: trace diverged");
-            assert_eq!(resumed.steps, full.steps, "{tag}: step meter diverged");
-            assert_eq!(resumed.rounds, full.rounds, "{tag}: round meter diverged");
-            assert_eq!(
-                resumed.processes, full.processes,
-                "{tag}: process meters diverged"
-            );
-            assert_eq!(
-                resumed.channels, full.channels,
-                "{tag}: channel meters diverged"
-            );
-            assert_eq!(
-                resumed.fault_log(),
-                full.fault_log(),
-                "{tag}: replayed fault log diverged"
-            );
-        }
     }
 }
 
@@ -137,10 +43,12 @@ fn zoo_checkpoint_resume_is_byte_identical() {
                 // cut roughly mid-run
                 let k = full.steps / 2;
                 let (mut ck_sched, mut resume_sched) = scheduler_pair(kind, seed);
-                let (partial, ckpt) =
-                    entry
-                        .network(seed)
-                        .run_report_checkpointed(&mut ck_sched, opts, k);
+                let with = RunWith {
+                    checkpoint_at: Some(k),
+                    ..RunWith::default()
+                };
+                let captured = entry.network(seed).run_with(&mut ck_sched, opts, with);
+                let (partial, ckpt) = (captured.report, captured.checkpoint);
                 // capture is pure observation
                 assert_eq!(
                     partial.trace, full.trace,
@@ -160,8 +68,9 @@ fn zoo_checkpoint_resume_is_byte_identical() {
                 );
                 let resumed = entry
                     .network(seed)
-                    .resume_report(&ckpt, &mut resume_sched, opts)
-                    .unwrap_or_else(|e| panic!("{}: resume failed: {e}", entry.name));
+                    .resume(ckpt, &mut resume_sched, opts, None)
+                    .unwrap_or_else(|e| panic!("{}: resume failed: {e}", entry.name))
+                    .report;
                 let tag = format!("{} (seed {seed}, kind {kind}, cut at {k})", entry.name);
                 assert_eq!(resumed.trace, full.trace, "{tag}: trace diverged");
                 assert_eq!(resumed.steps, full.steps, "{tag}: step meter diverged");

@@ -9,10 +9,10 @@
 //! corrupt the history and must fail the check.
 
 use eqp::kahn::conformance::{check_report, ConformanceOptions, Verdict};
-use eqp::kahn::faults::{CrashAt, Fault, FaultSchedule, FaultyLink, LinkFaultSpec};
-use eqp::kahn::reliable::{self, ArqOptions};
+use eqp::kahn::faults::{CrashAt, Fault, FaultKind, FaultSchedule, FaultyLink, LinkFaultSpec};
 use eqp::kahn::{
-    procs, Adversarial, Network, Oracle, RandomSched, RoundRobin, RunOptions, Scheduler,
+    procs, Adversarial, Network, Oracle, RandomSched, ReliableConfig, RoundRobin, RunOptions,
+    RunWith, Scheduler,
 };
 use eqp::processes::zoo::conformance_zoo;
 use eqp::processes::{bag, dfm};
@@ -75,11 +75,9 @@ fn zoo_conforms_under_all_schedulers() {
 /// A raw channel for interposing faulty links on dfm's merged output.
 const RAW_D: Chan = Chan::new(230);
 
-/// The Section 2.2 discriminated merge with a faulty link interposed on
-/// its output: sources feed `b` (evens) and `c` (odds), the merge writes
-/// to a raw channel, and the link forwards — faultily — onto the real
-/// `d` the description constrains.
-fn faulted_merge(fault: Fault, seed: u64) -> Network {
+/// The Section 2.2 discriminated merge: sources feed `b` (evens) and `c`
+/// (odds), and the merge writes to `out`.
+fn merge_onto(out: Chan, seed: u64) -> Network {
     let mut net = Network::new();
     net.add(procs::Source::new(
         "env-b",
@@ -95,9 +93,17 @@ fn faulted_merge(fault: Fault, seed: u64) -> Network {
         "merge",
         dfm::B,
         dfm::C,
-        RAW_D,
+        out,
         Oracle::fair(seed, 2),
     ));
+    net
+}
+
+/// The merge with a faulty link interposed on its output: the merge
+/// writes to a raw channel, and the link forwards — faultily — onto the
+/// real `d` the description constrains.
+fn faulted_merge(fault: Fault, seed: u64) -> Network {
+    let mut net = merge_onto(RAW_D, seed);
     net.add(FaultyLink::new("link", RAW_D, dfm::D, fault));
     net
 }
@@ -347,8 +353,14 @@ fn zoo_reliable_wrapping_masks_every_harmful_fault() {
                 // fault (and protect) only its input stream
                 schedule.links.retain(|l| l.chan == fork::C);
             }
+            let cfg = ReliableConfig::new(schedule.links.iter().map(|l| l.chan).collect());
             for sched in schedulers(13).iter_mut() {
-                let (report, conf) = entry.certify_reliable(&mut **sched, 13, &schedule);
+                let with = RunWith {
+                    faults: Some(&schedule),
+                    reliable: Some(&cfg),
+                    ..RunWith::default()
+                };
+                let (report, conf) = entry.certify_with(&mut **sched, entry.run_options(13), with);
                 assert_eq!(
                     report.quiescent,
                     entry.quiesces,
@@ -387,15 +399,13 @@ fn zoo_unprotected_faults_still_convict_somewhere() {
             }
             let schedule = fault_everywhere(&entry.network(0), &fault);
             let mut net = entry.network(13);
-            let report = net.run_report_faulted(
-                &mut RoundRobin::new(),
-                RunOptions {
-                    max_steps: entry.max_steps,
-                    seed: 13,
-                    ..RunOptions::default()
-                },
-                &schedule,
-            );
+            let with = RunWith {
+                faults: Some(&schedule),
+                ..RunWith::default()
+            };
+            let report = net
+                .run_with(&mut RoundRobin::new(), entry.run_options(13), with)
+                .report;
             let conf = check_report(
                 &entry.description(),
                 &report,
@@ -412,48 +422,30 @@ fn zoo_unprotected_faults_still_convict_somewhere() {
     }
 }
 
-/// Auxiliary wiring for the process-level reliable transport on the
-/// Section 2.2 merge: frames, frames-after-fault, acks, acks-after-fault.
-const ARQ_AUX: [Chan; 4] = [
-    Chan::new(240),
-    Chan::new(241),
-    Chan::new(242),
-    Chan::new(243),
-];
-
-/// The faulted merge of the PR 2 conviction tests, with the bare
-/// `FaultyLink` replaced by a full process-level reliable transport:
-/// merge → RAW_D → [sender → lossy medium → receiver] → d.
-fn masked_merge(fault: Fault, seed: u64) -> Network {
-    let mut net = Network::new();
-    net.add(procs::Source::new(
-        "env-b",
-        dfm::B,
-        [0, 2].map(Value::Int).to_vec(),
-    ));
-    net.add(procs::Source::new(
-        "env-c",
-        dfm::C,
-        [1, 3].map(Value::Int).to_vec(),
-    ));
-    net.add(procs::Merge2::new(
-        "merge",
-        dfm::B,
-        dfm::C,
-        RAW_D,
-        Oracle::fair(seed, 2),
-    ));
-    reliable::wire(
-        &mut net,
-        "dfm-arq",
-        RAW_D,
-        dfm::D,
-        ARQ_AUX,
-        Some(fault),
-        None,
-        ArqOptions::default(),
-    );
-    net
+/// Runs the merge with `fault` on its output `d`, which an engine-level
+/// reliable (ARQ) link protects.
+fn masked_merge_run(fault: Fault, seed: u64) -> eqp::kahn::RunReport {
+    let schedule = FaultSchedule {
+        crashes: vec![],
+        links: vec![LinkFaultSpec {
+            chan: dfm::D,
+            fault,
+        }],
+    };
+    let cfg = ReliableConfig::new(vec![dfm::D]);
+    let with = RunWith {
+        faults: Some(&schedule),
+        reliable: Some(&cfg),
+        ..RunWith::default()
+    };
+    let opts = RunOptions {
+        max_steps: 4_000,
+        seed,
+        ..RunOptions::default()
+    };
+    merge_onto(dfm::D, seed)
+        .run_with(&mut RoundRobin::new(), opts, with)
+        .report
 }
 
 #[test]
@@ -461,9 +453,10 @@ fn pr2_convicting_faults_are_masked_by_process_level_arq() {
     // Regression pins: the exact fault parameters convicted by
     // `drop_fault_is_detected_with_named_component`,
     // `duplicate_fault_is_detected`, and
-    // `reorder_fault_breaks_order_sensitive_descriptions` above, now
-    // wrapped in the sender/receiver ARQ processes — every seed must
-    // certify as a smooth solution.
+    // `reorder_fault_breaks_order_sensitive_descriptions` above, now on
+    // an ARQ-protected link — every seed must certify as a smooth
+    // solution. (The name predates the engine-level transport, which
+    // replaced the sender/receiver processes it first pinned.)
     type FaultFor = Box<dyn Fn(u64) -> Fault>;
     let faults: Vec<(&str, FaultFor)> = vec![
         ("drop", Box::new(|_| Fault::Drop { period: 2 })),
@@ -475,15 +468,7 @@ fn pr2_convicting_faults_are_masked_by_process_level_arq() {
     ];
     for (fault_name, fault_for) in &faults {
         for seed in 0..6u64 {
-            let mut net = masked_merge(fault_for(seed), seed);
-            let report = net.run_report(
-                &mut RoundRobin::new(),
-                RunOptions {
-                    max_steps: 4_000,
-                    seed,
-                    ..RunOptions::default()
-                },
-            );
+            let report = masked_merge_run(fault_for(seed), seed);
             assert!(
                 report.quiescent,
                 "{fault_name} seed {seed}: masked net must quiesce, got {}",
@@ -505,23 +490,17 @@ fn pr2_convicting_faults_are_masked_by_process_level_arq() {
 
 #[test]
 fn process_level_arq_reports_retransmissions_under_drop() {
-    // The masking is not vacuous: under a period-2 drop the sender must
-    // actually have retransmitted, and the fault log names the drops.
-    let mut net = masked_merge(Fault::Drop { period: 2 }, 3);
-    let report = net.run_report(
-        &mut RoundRobin::new(),
-        RunOptions {
-            max_steps: 4_000,
-            seed: 3,
-            ..RunOptions::default()
-        },
-    );
+    // The masking is not vacuous: under a period-2 drop the lossy medium
+    // under the ARQ link really drops frames, and the fault log names
+    // them. (The name predates the engine-level transport.)
+    let report = masked_merge_run(Fault::Drop { period: 2 }, 3);
     assert!(report.quiescent);
+    let link = format!("link@{}", dfm::D);
     assert!(
         report
             .fault_log()
             .iter()
-            .any(|r| r.source.contains("medium")),
+            .any(|r| r.source == link && r.event.kind == FaultKind::Dropped),
         "the lossy medium's drops are logged: {:?}",
         report.fault_log()
     );

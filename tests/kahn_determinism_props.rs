@@ -7,7 +7,9 @@
 //! fairness of `Oracle::fair` at every bound.
 
 use eqp::core::kahn_eqs::SolveOptions;
-use eqp::kahn::{procs, Adversarial, Network, RandomSched, RoundRobin, RunOptions, Scheduler};
+use eqp::kahn::{
+    procs, Adversarial, Network, RandomSched, RoundRobin, RunOptions, RunWith, Scheduler,
+};
 use eqp::processes::zoo::conformance_zoo;
 use eqp::processes::{copy, feedback, ticks};
 use eqp::trace::{Chan, Lasso, Value};
@@ -174,8 +176,11 @@ proptest! {
                 let (base_report, base_conf) =
                     entry.certify(schedulers(seed)[kind].as_mut(), seed);
                 for cap in [1usize, 2, 8] {
-                    let (report, conf) =
-                        entry.certify_bounded(schedulers(seed)[kind].as_mut(), seed, cap);
+                    let (report, conf) = entry.certify_with(
+                        schedulers(seed)[kind].as_mut(),
+                        entry.run_options(seed).with_capacity(cap),
+                        RunWith::default(),
+                    );
                     prop_assert_eq!(
                         report.quiescent, entry.quiesces,
                         "{} (cap {cap}, sched {kind}): bounding must not change the run shape",

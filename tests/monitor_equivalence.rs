@@ -22,7 +22,8 @@ use eqp::kahn::conformance::{check_report, Conformance, ConformanceOptions, Verd
 use eqp::kahn::report::RunStatus;
 use eqp::kahn::{
     procs, Adversarial, ArqOptions, CrashPoint, Fault, FaultSchedule, LinkFaultSpec, MonitorPolicy,
-    Network, RandomSched, RoundRobin, RunOptions, Scheduler, SupervisorOptions,
+    Network, RandomSched, ReliableConfig, RoundRobin, RunOptions, RunWith, Scheduler,
+    SupervisorOptions,
 };
 use eqp::processes::bag;
 use eqp::processes::zoo::{conformance_zoo, ZooEntry};
@@ -54,6 +55,14 @@ fn assert_conformance_eq(context: &str, online: &Conformance, posthoc: &Conforma
     }
 }
 
+/// Attachments for an `Observe`-mode monitored run over `desc`.
+fn observe(desc: &Description) -> RunWith<'_> {
+    RunWith {
+        monitor: Some((desc, MonitorPolicy::Observe)),
+        ..RunWith::default()
+    }
+}
+
 /// Post-hoc check of the very run the monitor certified.
 fn posthoc(entry: &ZooEntry, report: &eqp::kahn::RunReport) -> Conformance {
     check_report(&entry.description(), report, &ConformanceOptions::default())
@@ -62,10 +71,11 @@ fn posthoc(entry: &ZooEntry, report: &eqp::kahn::RunReport) -> Conformance {
 #[test]
 fn zoo_monitored_verdicts_equal_posthoc_under_all_schedulers() {
     for entry in conformance_zoo() {
+        let desc = entry.description();
         for seed in [0u64, 3, 11] {
             for sched in schedulers(seed).iter_mut() {
                 let (report, online) =
-                    entry.certify_monitored(&mut **sched, seed, MonitorPolicy::Observe);
+                    entry.certify_with(&mut **sched, entry.run_options(seed), observe(&desc));
                 let ctx = format!("{} (seed {seed}, {})", entry.name, sched.name());
                 assert_conformance_eq(&ctx, &online, &posthoc(&entry, &report));
             }
@@ -73,7 +83,7 @@ fn zoo_monitored_verdicts_equal_posthoc_under_all_schedulers() {
         // observation is pure: the monitored trace is the plain run's
         let (plain, _) = entry.certify(&mut RoundRobin::new(), 3);
         let (monitored, _) =
-            entry.certify_monitored(&mut RoundRobin::new(), 3, MonitorPolicy::Observe);
+            entry.certify_with(&mut RoundRobin::new(), entry.run_options(3), observe(&desc));
         assert_eq!(
             plain.trace, monitored.trace,
             "{}: the monitor must not perturb the run",
@@ -134,14 +144,14 @@ fn fault_schedules(entry: &ZooEntry, with_crash: bool) -> Vec<(String, FaultSche
 #[test]
 fn zoo_monitored_verdicts_equal_posthoc_under_fault_schedules() {
     for entry in conformance_zoo() {
+        let desc = entry.description();
         for (fault_name, schedule) in fault_schedules(&entry, true) {
             for sched in schedulers(7).iter_mut() {
-                let (report, online) = entry.certify_monitored_faulted(
-                    &mut **sched,
-                    7,
-                    MonitorPolicy::Observe,
-                    &schedule,
-                );
+                let with = RunWith {
+                    faults: Some(&schedule),
+                    ..observe(&desc)
+                };
+                let (report, online) = entry.certify_with(&mut **sched, entry.run_options(7), with);
                 let ctx = format!("{} × {fault_name} ({})", entry.name, sched.name());
                 assert_conformance_eq(&ctx, &online, &posthoc(&entry, &report));
             }
@@ -152,15 +162,84 @@ fn zoo_monitored_verdicts_equal_posthoc_under_fault_schedules() {
 #[test]
 fn zoo_monitored_verdicts_equal_posthoc_under_reliable_wrapping() {
     for entry in conformance_zoo() {
+        let desc = entry.description();
         for (fault_name, schedule) in fault_schedules(&entry, false) {
             if schedule.links.is_empty() {
                 continue;
             }
+            let cfg = protect_faulted(&schedule);
+            let with = RunWith {
+                faults: Some(&schedule),
+                reliable: Some(&cfg),
+                ..observe(&desc)
+            };
             let mut sched = RoundRobin::new();
-            let (report, online) =
-                entry.certify_monitored_reliable(&mut sched, 13, MonitorPolicy::Observe, &schedule);
+            let (report, online) = entry.certify_with(&mut sched, entry.run_options(13), with);
             let ctx = format!("{} × arq({fault_name})", entry.name);
             assert_conformance_eq(&ctx, &online, &posthoc(&entry, &report));
+        }
+    }
+}
+
+/// An ARQ config protecting every channel `schedule` faults.
+fn protect_faulted(schedule: &FaultSchedule) -> ReliableConfig {
+    ReliableConfig::new(schedule.links.iter().map(|l| l.chan).collect())
+}
+
+/// The `RunWith` matrix: {no faults, faults, faults + ARQ} ×
+/// {unsupervised, supervised} over the zoo, each run with the monitor off
+/// and in `Observe` mode. Observing must not perturb the run — the
+/// reports are identical — and the online verdict must equal the
+/// post-hoc check of that same report.
+#[test]
+fn run_with_matrix_observe_equals_unmonitored_and_posthoc() {
+    for entry in conformance_zoo() {
+        let desc = entry.description();
+        let opts = entry.run_options(9);
+        let mut schedules = vec![("clean".to_owned(), None)];
+        for (name, schedule) in fault_schedules(&entry, true) {
+            schedules.push((name, Some(schedule)));
+        }
+        for (fault_name, schedule) in &schedules {
+            let cfg = schedule.as_ref().map(protect_faulted);
+            let mut arq_arms = vec![None];
+            arq_arms.extend(cfg.as_ref().map(Some));
+            for reliable in arq_arms {
+                for supervisor in [None, Some(SupervisorOptions::one_for_one())] {
+                    let with = RunWith {
+                        faults: schedule.as_ref(),
+                        reliable,
+                        supervisor,
+                        ..RunWith::default()
+                    };
+                    let ctx = format!(
+                        "{} × {fault_name} (arq {}, supervised {})",
+                        entry.name,
+                        reliable.is_some(),
+                        supervisor.is_some()
+                    );
+                    let plain =
+                        entry
+                            .network(opts.seed)
+                            .run_with(&mut RandomSched::new(9), opts, with);
+                    let observed = entry.network(opts.seed).run_with(
+                        &mut RandomSched::new(9),
+                        opts,
+                        RunWith {
+                            monitor: Some((&desc, MonitorPolicy::Observe)),
+                            ..with
+                        },
+                    );
+                    assert!(plain.conformance.is_none(), "{ctx}: no monitor, no verdict");
+                    assert_eq!(
+                        format!("{:?}", plain.report),
+                        format!("{:?}", observed.report),
+                        "{ctx}: observing perturbed the run"
+                    );
+                    let online = observed.conformance.expect("monitor attached");
+                    assert_conformance_eq(&ctx, &online, &posthoc(&entry, &observed.report));
+                }
+            }
         }
     }
 }
@@ -191,8 +270,7 @@ fn degraded_runs_certify_identically_online() {
         },
     };
     let sup = SupervisorOptions::one_for_one();
-    let (report, online) =
-        chaos::run_trial_monitored(&scenario, &trial, sup, MonitorPolicy::Observe);
+    let (report, online) = chaos::run_trial(&scenario, &trial, sup, Some(MonitorPolicy::Observe));
     assert!(
         matches!(&report.status, RunStatus::ReliabilityExhausted { .. }),
         "setup must exhaust the retry budget, got: {}",
@@ -227,22 +305,29 @@ fn checkpointed_monitor_state_resumes_byte_identically() {
             ..RunOptions::default()
         };
         let desc = entry.description();
-        let (full_report, full_conf) = {
-            let mut net = entry.network(seed);
-            net.run_report_monitored(&desc, &mut RoundRobin::new(), opts)
-        };
+        let full = entry
+            .network(seed)
+            .run_with(&mut RoundRobin::new(), opts, observe(&desc));
+        let (full_report, full_conf) = (full.report, full.conformance.expect("monitored"));
         let mid = full_report.steps / 2;
-        let (_, _, ckpt) = {
-            let mut net = entry.network(seed);
-            net.run_report_checkpointed_monitored(&desc, &mut RoundRobin::new(), opts, mid)
+        let with = RunWith {
+            checkpoint_at: Some(mid),
+            ..observe(&desc)
         };
-        let Some(ckpt) = ckpt else {
+        let captured = entry
+            .network(seed)
+            .run_with(&mut RoundRobin::new(), opts, with);
+        let Some(ckpt) = captured.checkpoint else {
             continue; // run ended before the capture point
         };
         assert!(ckpt.has_monitor(), "{}: monitored checkpoint", entry.name);
         let mut net = entry.network(seed);
-        match net.resume_report_monitored(&ckpt, &mut RoundRobin::new(), opts) {
-            Ok((resumed_report, resumed_conf)) => {
+        match net.resume(ckpt, &mut RoundRobin::new(), opts, None) {
+            Ok(out) => {
+                let resumed_report = out.report;
+                let resumed_conf = out
+                    .conformance
+                    .expect("a monitored checkpoint resumes certification");
                 assert_eq!(
                     resumed_report.trace, full_report.trace,
                     "{}: resumed trace must be byte-identical",
@@ -297,19 +382,25 @@ fn abort_policy_halts_before_the_step_bound_and_names_the_posthoc_component() {
     };
 
     // post-hoc reference: run to the end, then re-walk the whole trace
-    let full = build().run_report_faulted(&mut RoundRobin::new(), opts, &schedule);
+    let faulted = RunWith {
+        faults: Some(&schedule),
+        ..RunWith::default()
+    };
+    let full = build()
+        .run_with(&mut RoundRobin::new(), opts, faulted)
+        .report;
     let posthoc = check_report(&desc, &full, &ConformanceOptions::default());
     let convicted = posthoc
         .failing_component()
         .expect("the periodic drop must convict");
 
     // online, aborting: halts at the convicting event
-    let (aborted, online) = build().run_report_monitored_faulted(
-        &desc,
-        &mut RoundRobin::new(),
-        opts.with_monitor(MonitorPolicy::AbortOnViolation),
-        &schedule,
-    );
+    let with = RunWith {
+        monitor: Some((&desc, MonitorPolicy::AbortOnViolation)),
+        ..faulted
+    };
+    let out = build().run_with(&mut RoundRobin::new(), opts, with);
+    let (aborted, online) = (out.report, out.conformance.expect("monitored"));
     match &aborted.status {
         RunStatus::MonitorAborted { component } => assert_eq!(
             *component, convicted,
@@ -343,16 +434,24 @@ fn unmonitored_checkpoints_refuse_monitored_resume() {
         seed: 0,
         ..RunOptions::default()
     };
-    let (_, ckpt) = entry
+    let with = RunWith {
+        checkpoint_at: Some(2),
+        ..RunWith::default()
+    };
+    let ckpt = entry
         .network(0)
-        .run_report_checkpointed(&mut RoundRobin::new(), opts, 2);
-    let ckpt = ckpt.expect("capture at step 2");
+        .run_with(&mut RoundRobin::new(), opts, with)
+        .checkpoint
+        .expect("capture at step 2");
     assert!(!ckpt.has_monitor());
-    let err = entry
+    let outcome = entry
         .network(0)
-        .resume_report_monitored(&ckpt, &mut RoundRobin::new(), opts)
-        .expect_err("monitored resume from an unmonitored checkpoint");
-    assert_eq!(err, eqp::kahn::SnapshotError::NoMonitor);
+        .resume(ckpt, &mut RoundRobin::new(), opts, None)
+        .expect("an unmonitored checkpoint resumes");
+    assert!(
+        outcome.conformance.is_none(),
+        "an unmonitored checkpoint resumes without online certification"
+    );
 }
 
 /// A 220-channel wide network — 110 parallel source → doubler lanes —
@@ -391,7 +490,8 @@ fn wide_network_past_the_support_mask_certifies_online_and_posthoc() {
         seed: 21,
         ..RunOptions::default()
     };
-    let (report, online) = net.run_report_monitored(&desc, &mut RandomSched::new(21), opts);
+    let out = net.run_with(&mut RandomSched::new(21), opts, observe(&desc));
+    let (report, online) = (out.report, out.conformance.expect("monitored"));
     assert!(report.quiescent, "the wide network must quiesce");
     assert_eq!(
         online.verdict,
@@ -476,11 +576,14 @@ fn abort_at_scale_convicts_the_posthoc_component_at_the_posthoc_event() {
         "post-hoc convicts the lying stage's equation"
     );
 
-    let (aborted, online) = program.build(5).run_report_monitored(
-        &desc,
-        &mut RoundRobin::new(),
-        opts.with_monitor(MonitorPolicy::AbortOnViolation),
-    );
+    let with = RunWith {
+        monitor: Some((&desc, MonitorPolicy::AbortOnViolation)),
+        ..RunWith::default()
+    };
+    let out = program
+        .build(5)
+        .run_with(&mut RoundRobin::new(), opts, with);
+    let (aborted, online) = (out.report, out.conformance.expect("monitored"));
     assert_eq!(
         aborted.status,
         RunStatus::MonitorAborted {

@@ -8,8 +8,8 @@
 
 use eqp::kahn::conformance::{check_report, ConformanceOptions};
 use eqp::kahn::{
-    Adversarial, RandomSched, RoundRobin, RunOptions, RunStatus, Scheduler, SupervisorOptions,
-    Verdict,
+    Adversarial, RandomSched, RoundRobin, RunOptions, RunStatus, RunWith, Scheduler,
+    SupervisorOptions, Verdict,
 };
 use eqp::processes::zoo::conformance_zoo;
 
@@ -38,17 +38,23 @@ fn crashed_and_recovered_zoo_runs_still_certify() {
                     let mut net = entry.network(seed);
                     // fuse: crash the victim after 2 of its progress steps
                     net.wrap_crash_at(victim, 2);
-                    let report = net.run_supervised(
-                        sched,
-                        RunOptions {
-                            // headroom: recovery replays observations, which
-                            // consumes extra scheduler steps
-                            max_steps: entry.max_steps + 64,
-                            seed,
-                            ..RunOptions::default()
-                        },
-                        SupervisorOptions::one_for_one(),
-                    );
+                    let with = RunWith {
+                        supervisor: Some(SupervisorOptions::one_for_one()),
+                        ..RunWith::default()
+                    };
+                    let report = net
+                        .run_with(
+                            sched,
+                            RunOptions {
+                                // headroom: recovery replays observations, which
+                                // consumes extra scheduler steps
+                                max_steps: entry.max_steps + 64,
+                                seed,
+                                ..RunOptions::default()
+                            },
+                            with,
+                        )
+                        .report;
                     let tag = format!(
                         "{} (seed {seed}, victim {victim}, {})",
                         entry.name,
