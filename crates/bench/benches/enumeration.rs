@@ -1,14 +1,12 @@
 //! E13 — the enumeration engine shootout: seed BFS ([`enumerate`]) vs the
 //! prefix-sharing incremental engine, sequential ([`enumerate_memo`]) and
-//! parallel ([`enumerate_par`]), over the Fig. 1–7 process zoo — each
-//! incremental engine in both its compiled-IR (default) and tree-walking
-//! interpreter (`*_interp`) backends, so the compiled-vs-interpreted
-//! column is measured on otherwise identical engines.
+//! parallel ([`enumerate_par`]), over the Fig. 1–7 process zoo.
 //!
 //! Besides the usual criterion output this target emits a machine-readable
-//! `BENCH_enumeration.json` at the repository root with nodes/sec per
-//! engine and each engine's speedup over the seed, so EXPERIMENTS.md can
-//! cite reproducible numbers. Before timing anything, every engine's
+//! `BENCH_enumeration.json` at the repository root with a host block
+//! (cores, `par` worker count, commit), nodes/sec per engine and each
+//! engine's speedup over the seed, so EXPERIMENTS.md can cite
+//! reproducible numbers. Before timing anything, every engine's
 //! result is asserted identical to the seed's on every workload — a bench
 //! of a wrong engine is worthless. Under `EQP_BENCH_SMOKE=1` those
 //! equality gates still run but each timing body executes once and no
@@ -16,10 +14,7 @@
 
 use criterion::Criterion;
 use eqp_core::description::Alphabet;
-use eqp_core::{
-    enumerate, enumerate_memo, enumerate_memo_interp, enumerate_par, enumerate_par_interp,
-    Description, EnumOptions, Enumeration,
-};
+use eqp_core::{enumerate, enumerate_memo, enumerate_par, Description, EnumOptions, Enumeration};
 use eqp_processes::{brock_ackermann as ba, dfm, fork, implication, ticks};
 use std::hint::black_box;
 
@@ -110,6 +105,19 @@ struct EngineRow {
     speedup_vs_seed: f64,
 }
 
+/// The measured checkout (`<sha>-dirty` for uncommitted edits), or
+/// `none` outside a git work tree.
+fn commit() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty", "--abbrev=40"])
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map_or_else(|| "none".to_owned(), |s| s.trim().to_owned())
+}
+
 fn main() {
     let par_threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let mut c = Criterion::default().configure_from_args();
@@ -126,20 +134,8 @@ fn main() {
         );
         assert_identical(
             w.name,
-            "memo-interp",
-            &enumerate_memo_interp(&w.desc, &w.alpha, w.opts),
-            &seed,
-        );
-        assert_identical(
-            w.name,
             "par",
             &enumerate_par(&w.desc, &w.alpha, w.opts, par_threads),
-            &seed,
-        );
-        assert_identical(
-            w.name,
-            "par-interp",
-            &enumerate_par_interp(&w.desc, &w.alpha, w.opts, par_threads),
             &seed,
         );
 
@@ -148,18 +144,8 @@ fn main() {
         g.bench_function("seed", |b| {
             b.iter(|| black_box(enumerate(&w.desc, &w.alpha, w.opts).nodes_visited))
         });
-        g.bench_function("memo-interp", |b| {
-            b.iter(|| black_box(enumerate_memo_interp(&w.desc, &w.alpha, w.opts).nodes_visited))
-        });
         g.bench_function("memo", |b| {
             b.iter(|| black_box(enumerate_memo(&w.desc, &w.alpha, w.opts).nodes_visited))
-        });
-        g.bench_function("par-interp", |b| {
-            b.iter(|| {
-                black_box(
-                    enumerate_par_interp(&w.desc, &w.alpha, w.opts, par_threads).nodes_visited,
-                )
-            })
         });
         g.bench_function("par", |b| {
             b.iter(|| {
@@ -177,7 +163,7 @@ fn main() {
                 .expect("bench result present")
         };
         let seed_ns = median("seed");
-        let engines = ["seed", "memo-interp", "memo", "par-interp", "par"]
+        let engines = ["seed", "memo", "par"]
             .into_iter()
             .map(|engine| {
                 let ns = median(engine);
@@ -205,8 +191,11 @@ fn main() {
     json.push_str("{\n");
     json.push_str("  \"bench\": \"enumeration\",\n");
     json.push_str("  \"command\": \"cargo bench -p eqp-bench --bench enumeration\",\n");
-    json.push_str(&format!("  \"host_threads\": {par_threads},\n"));
-    json.push_str(&format!("  \"par_threads\": {par_threads},\n"));
+    json.push_str(&format!(
+        "  \"host\": {{\"nproc\": {par_threads}, \"par_threads\": {par_threads}, \
+         \"commit\": \"{}\"}},\n",
+        commit()
+    ));
     json.push_str("  \"workloads\": [\n");
     for (wi, (name, depth, nodes, engines)) in rows.iter().enumerate() {
         json.push_str("    {\n");

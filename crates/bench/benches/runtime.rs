@@ -17,10 +17,10 @@
 //!   overhead — acceptance: ≤10%), and over a 10%-loss medium (recovery
 //!   latency: retransmission timers and dedup doing real work).
 //!
-//! * `compiled` — the fused-IR dividend: stepping every §2.3 description
-//!   side over a recorded run trace on the compiled delta machine vs the
-//!   tree-walking interpreter, plus the one-time lowering cost and an
-//!   instruction-count table (combinator nodes vs fused instructions).
+//! * `compiled` — stepping every §2.3 description side over a recorded
+//!   run trace on the compiled delta machine, plus the one-time lowering
+//!   cost and an instruction-count table (combinator nodes vs fused
+//!   instructions).
 //!
 //! * `telemetry` — the sketch-capture tax (mergeable quantile/heavy-
 //!   hitter/HLL sketches on vs off, gate ≤1.05×) and the zero-copy
@@ -29,7 +29,7 @@
 //!
 //! Results are emitted to `BENCH_runtime.json` at the repository root,
 //! including the computed checkpoint-capture and ARQ overhead ratios, the
-//! compiled monitor overhead (gate ≤1.15×), and the IR stats line. Under
+//! compiled monitor overhead (gate ≤1.25×), and the IR stats line. Under
 //! `EQP_BENCH_SMOKE=1` every body runs once: the fusion gates still
 //! assert, the timing gates and JSON emission are skipped.
 
@@ -42,7 +42,6 @@ use eqp_kahn::{
     SupervisorOptions,
 };
 use eqp_processes::{brock_ackermann as ba, dfm, fair_merge, ticks};
-use eqp_seqfn::delta::SideEval;
 use eqp_seqfn::paper::ch;
 use eqp_seqfn::{CompiledSideEval, SeqExpr};
 use eqp_trace::{Chan, Event, Value};
@@ -583,10 +582,9 @@ fn bench_monitored(c: &mut Criterion) {
 
 const DEEP_TRACE_LENGTHS: [usize; 3] = [64, 256, 1024];
 
-/// The `compiled` group: per-event cost of the compiled delta machine vs
-/// the tree-walking interpreter, stepping every side of the §2.3
-/// description over one recorded run trace (the monitor's exact hot
-/// loop), plus the one-time lowering cost.
+/// The `compiled` group: per-event cost of the compiled delta machine,
+/// stepping every side of the §2.3 description over one recorded run
+/// trace (the monitor's exact hot loop), plus the one-time lowering cost.
 fn bench_compiled(c: &mut Criterion, desc: &Description) {
     let mut net = dfm::section23_network(Oracle::fair(7, 2));
     let report = net.run_report(&mut RoundRobin::new(), section23_opts());
@@ -608,19 +606,6 @@ fn bench_compiled(c: &mut Criterion, desc: &Description) {
             let mut total = 0usize;
             for ce in &compiled {
                 let mut s = CompiledSideEval::new(ce);
-                for &ev in &events {
-                    s.step(ev);
-                }
-                total += s.value().len().as_finite().unwrap_or(0);
-            }
-            black_box(total)
-        })
-    });
-    g.bench_function("step-interp", |b| {
-        b.iter(|| {
-            let mut total = 0usize;
-            for e in &sides {
-                let mut s = SideEval::new(e);
                 for &ev in &events {
                     s.step(ev);
                 }
@@ -747,7 +732,6 @@ fn main() {
     let s23_bare = median("runtime/section23/run_report");
     let monitored_overhead = median("runtime/section23/run_report_monitored") / s23_bare;
     let posthoc_overhead = median("runtime/section23/run_report+conformance") / s23_bare;
-    let step_speedup = median("compiled/step-interp") / median("compiled/step-compiled");
     // sketch_capture_overhead came back from its group's interleaved
     // paired measurement, not from sequential medians
     let zero_copy_resume_speedup =
@@ -778,9 +762,6 @@ fn main() {
     ));
     json.push_str("  \"monitored_overhead_gate\": 1.25,\n");
     json.push_str(&format!("  \"posthoc_overhead\": {posthoc_overhead:.4},\n"));
-    json.push_str(&format!(
-        "  \"compiled_step_speedup\": {step_speedup:.4},\n"
-    ));
     json.push_str(&format!(
         "  \"sketch_capture_overhead\": {sketch_capture_overhead:.4},\n"
     ));
@@ -855,10 +836,6 @@ fn main() {
         monitored_overhead <= 1.25,
         "compiled online-monitor overhead {monitored_overhead:.4} exceeds the 1.25× gate \
          (post-hoc re-walk costs {posthoc_overhead:.4}×)"
-    );
-    assert!(
-        step_speedup.is_finite() && step_speedup > 1.0,
-        "compiled stepping must beat the interpreter (got {step_speedup:.4}×)"
     );
     assert!(
         sketch_capture_overhead.is_finite(),

@@ -11,17 +11,15 @@
 //!   one arena push instead of a `Vec` copy, and sibling subtrees share
 //!   their common prefix storage.
 //! * **Description sides** are evaluated *incrementally* off the **compiled
-//!   IR**: each side is lowered once per run to a [`CompiledExpr`] (fused
-//!   instructions, interned channel masks — see [`eqp_seqfn::compile`]),
-//!   each node carries a [`CompiledDeltaState`] per supported side, and the
-//!   feasibility test `f(u·e) ⊑ g(u)` inspects only the values *appended*
-//!   by the new event. Sides that do not support delta evaluation (infinite
+//!   IR**: each side's [`CompiledExpr`] (fused instructions, interned
+//!   channel masks — see [`eqp_seqfn::compile`]) is cached on the
+//!   [`Description`], each node carries a [`CompiledDeltaState`] per
+//!   supported side, and the feasibility test `f(u·e) ⊑ g(u)` inspects
+//!   only the values *appended* by the new event. Sides that do not support delta evaluation (infinite
 //!   constants, opaque custom functions without the
 //!   [`eqp_seqfn::SeqFunction::delta_init`] hook) transparently fall back
 //!   to full re-evaluation, exactly as the seed engine does for every
-//!   side. The tree-walking [`DeltaState`] backend is retained behind
-//!   [`enumerate_memo_interp`] / [`enumerate_par_interp`] purely as the
-//!   benchmark baseline.
+//!   side.
 //!
 //! # Why the delta check is sound
 //!
@@ -46,72 +44,10 @@
 
 use crate::description::{Alphabet, Description};
 use crate::enumerate::{EnumOptions, Enumeration};
-use eqp_seqfn::{CompiledDeltaState, CompiledExpr, DeltaState, SeqExpr};
-use eqp_trace::{ChainArena, ChainId, Chan, ChanSet, Event, Lasso, Seq, Trace, Value};
+use eqp_seqfn::{CompiledDeltaState, CompiledExpr};
+use eqp_trace::{ChainArena, ChainId, Event, Lasso, Seq, Trace, Value};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-
-/// One description side as the engine evaluates it — either the compiled
-/// IR (the default: fused instructions, interned channel masks) or the
-/// original combinator tree (retained so benchmarks can measure exactly
-/// what compilation buys; see [`enumerate_memo_interp`]).
-#[derive(Debug)]
-enum SideFn {
-    Compiled(CompiledExpr),
-    Interp {
-        expr: SeqExpr,
-        /// Channel support, computed once per run (the expression itself
-        /// recomputes it on every `channels()` call).
-        support: ChanSet,
-    },
-}
-
-impl SideFn {
-    fn delta_init(&self) -> Option<(AnyState, Vec<Value>)> {
-        match self {
-            SideFn::Compiled(c) => c
-                .delta_init()
-                .map(|(st, out)| (AnyState::Compiled(st), out)),
-            SideFn::Interp { expr, .. } => expr
-                .delta_init()
-                .map(|(st, out)| (AnyState::Interp(st), out)),
-        }
-    }
-
-    fn eval(&self, t: &Trace) -> Seq {
-        match self {
-            SideFn::Compiled(c) => c.eval(t),
-            SideFn::Interp { expr, .. } => expr.eval(t),
-        }
-    }
-
-    /// `false` means events on `c` provably leave this side's output and
-    /// state unchanged. For the compiled form this is one bitmask test —
-    /// and can be *smaller* than the syntactic support when the optimizer
-    /// erased a subtree (e.g. a zip against a constant `ε`).
-    fn reads(&self, c: Chan) -> bool {
-        match self {
-            SideFn::Compiled(cc) => cc.reads(c),
-            SideFn::Interp { support, .. } => support.contains(c),
-        }
-    }
-}
-
-/// A per-node incremental evaluator state for either backend.
-#[derive(Debug, Clone)]
-enum AnyState {
-    Compiled(CompiledDeltaState),
-    Interp(DeltaState),
-}
-
-impl AnyState {
-    fn step(&mut self, ev: Event) -> Vec<Value> {
-        match self {
-            AnyState::Compiled(st) => st.step(ev),
-            AnyState::Interp(st) => st.step(ev),
-        }
-    }
-}
 
 /// One side (one equation's `f_i` or `g_i`) of one node.
 ///
@@ -124,7 +60,7 @@ enum Side {
     /// Incrementally evaluated: the delta state after this node's trace,
     /// and the (finite) output so far as a chain in the value arena.
     Inc {
-        state: Arc<AnyState>,
+        state: Arc<CompiledDeltaState>,
         chain: ChainId,
     },
     /// Delta evaluation unsupported: recompute from the trace on demand.
@@ -150,7 +86,7 @@ struct ChildOut {
 
 enum SideOut {
     Inc {
-        state: Arc<AnyState>,
+        state: Arc<CompiledDeltaState>,
         delta: Vec<Value>,
     },
     Full,
@@ -197,10 +133,12 @@ struct Ctx<'a> {
     desc: &'a Description,
     alphabet: &'a Alphabet,
     max_depth: usize,
-    /// Per-equation evaluators for `f_i` / `g_i`, built once per run:
-    /// compiled IR by default, interpreted trees for the baseline engine.
-    lhs_fns: Vec<SideFn>,
-    rhs_fns: Vec<SideFn>,
+    /// Per-equation compiled IR for `f_i` / `g_i`, cached on the
+    /// description. `reads` is one bitmask test, and can be *smaller* than
+    /// the syntactic support when the optimizer erased a subtree (e.g. a
+    /// zip against a constant `ε`).
+    lhs_fns: &'a [CompiledExpr],
+    rhs_fns: &'a [CompiledExpr],
 }
 
 /// Everything `process_node` derives from a node before trying events.
@@ -482,51 +420,18 @@ fn process_level(
     results.into_iter().flatten().collect()
 }
 
-/// Which evaluator backend a run drives its hot path with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Backend {
-    /// Fused flat IR — the default for [`enumerate_memo`] /
-    /// [`enumerate_par`].
-    Compiled,
-    /// Tree-walking combinator interpreter — kept only so benchmarks can
-    /// quantify the compiled speedup against an otherwise identical
-    /// engine.
-    Interpreted,
-}
-
-fn build_side_fns(exprs: &[SeqExpr], compiled: &[CompiledExpr], backend: Backend) -> Vec<SideFn> {
-    match backend {
-        // The description already carries each side's compiled form; reuse
-        // it (an `Arc` bump per side) instead of re-lowering.
-        Backend::Compiled => compiled.iter().cloned().map(SideFn::Compiled).collect(),
-        Backend::Interpreted => exprs
-            .iter()
-            .map(|e| SideFn::Interp {
-                expr: e.clone(),
-                support: e.channels(),
-            })
-            .collect(),
-    }
-}
-
-fn run(
-    desc: &Description,
-    alphabet: &Alphabet,
-    opts: EnumOptions,
-    threads: usize,
-    backend: Backend,
-) -> Enumeration {
+fn run(desc: &Description, alphabet: &Alphabet, opts: EnumOptions, threads: usize) -> Enumeration {
     let ctx = Ctx {
         desc,
         alphabet,
         max_depth: opts.max_depth,
-        lhs_fns: build_side_fns(desc.lhs(), desc.lhs_compiled(), backend),
-        rhs_fns: build_side_fns(desc.rhs(), desc.rhs_compiled(), backend),
+        lhs_fns: desc.lhs_compiled(),
+        rhs_fns: desc.rhs_compiled(),
     };
     let mut events: ChainArena<Event> = ChainArena::new();
     let mut values: ChainArena<Value> = ChainArena::new();
 
-    let init_sides = |fns: &[SideFn], values: &mut ChainArena<Value>| {
+    let init_sides = |fns: &[CompiledExpr], values: &mut ChainArena<Value>| {
         fns.iter()
             .map(|f| match f.delta_init() {
                 Some((state, out)) => {
@@ -546,8 +451,8 @@ fn run(
     let root = NodeRec {
         trace: ChainId::EMPTY,
         depth: 0,
-        lhs: init_sides(&ctx.lhs_fns, &mut values),
-        rhs: init_sides(&ctx.rhs_fns, &mut values),
+        lhs: init_sides(ctx.lhs_fns, &mut values),
+        rhs: init_sides(ctx.rhs_fns, &mut values),
     };
 
     let mut out = Enumeration {
@@ -647,22 +552,7 @@ fn run(
 /// Section 3.3 tree — same results as [`crate::enumerate::enumerate`],
 /// without the per-node O(depth) replay.
 pub fn enumerate_memo(desc: &Description, alphabet: &Alphabet, opts: EnumOptions) -> Enumeration {
-    run(desc, alphabet, opts, 1, Backend::Compiled)
-}
-
-/// [`enumerate_memo`] driven by the tree-walking combinator interpreter
-/// instead of the compiled IR.
-///
-/// Exists so `eqp-bench` can report the compiled-vs-interpreted column
-/// from two engines that differ *only* in the evaluator backend; results
-/// are identical to [`enumerate_memo`] (the differential suite pins
-/// compiled == interpreted).
-pub fn enumerate_memo_interp(
-    desc: &Description,
-    alphabet: &Alphabet,
-    opts: EnumOptions,
-) -> Enumeration {
-    run(desc, alphabet, opts, 1, Backend::Interpreted)
+    run(desc, alphabet, opts, 1)
 }
 
 /// Parallel frontier expansion over `threads` worker threads
@@ -698,23 +588,7 @@ pub fn enumerate_par(
     } else {
         threads
     };
-    run(desc, alphabet, opts, threads, Backend::Compiled)
-}
-
-/// [`enumerate_par`] driven by the tree-walking combinator interpreter —
-/// the benchmark baseline twin of [`enumerate_memo_interp`].
-pub fn enumerate_par_interp(
-    desc: &Description,
-    alphabet: &Alphabet,
-    opts: EnumOptions,
-    threads: usize,
-) -> Enumeration {
-    let threads = if threads == 0 {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    } else {
-        threads
-    };
-    run(desc, alphabet, opts, threads, Backend::Interpreted)
+    run(desc, alphabet, opts, threads)
 }
 
 #[cfg(test)]
@@ -746,10 +620,8 @@ mod tests {
     fn check_all_engines(desc: &Description, alpha: &Alphabet, opts: EnumOptions) {
         let seed = enumerate(desc, alpha, opts);
         assert_same(&enumerate_memo(desc, alpha, opts), &seed);
-        assert_same(&enumerate_memo_interp(desc, alpha, opts), &seed);
         for threads in [2, 3, 8] {
             assert_same(&enumerate_par(desc, alpha, opts, threads), &seed);
-            assert_same(&enumerate_par_interp(desc, alpha, opts, threads), &seed);
         }
     }
 

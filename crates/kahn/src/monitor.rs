@@ -23,8 +23,8 @@
 //!
 //! Sides without an incremental hook (infinite constants, hookless
 //! `Custom` functions) transparently fall back to full re-evaluation per
-//! event, mirroring `delta.rs` — correctness never depends on the fast
-//! path being available.
+//! event, as the enumeration engine's sides do — correctness never
+//! depends on the fast path being available.
 //!
 //! The monitor produces the *same* [`SmoothReport`] / [`Conformance`] /
 //! [`Verdict`] as the post-hoc path: violations are recorded in the same

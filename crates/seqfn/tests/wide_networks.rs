@@ -12,12 +12,11 @@
 //! evaluation on wide networks. These tests pin the fixed behavior at
 //! 129, 200, and 300 channels.
 
-use eqp_seqfn::delta::SideEval;
 use eqp_seqfn::{CompiledSideEval, SeqExpr};
 use eqp_trace::{Chan, Event, Trace};
 
 /// A balanced add-zip tree over `n` distinct channels (depth ⌈log₂ n⌉ so
-/// the recursive interpreter machines stay within test-thread stacks —
+/// the recursive interpreter stays within test-thread stacks —
 /// the mask-overflow bug is shape-independent, only width matters).
 fn wide_zip(n: u32) -> SeqExpr {
     let mut layer: Vec<SeqExpr> = (0..n).map(|i| SeqExpr::chan(Chan::new(i))).collect();
@@ -87,20 +86,19 @@ fn wide_eval_and_delta_agree_with_interpreter() {
         e.eval(&t),
         "compiled eval diverges at width {n}"
     );
-    // incremental machines agree event-for-event, including events on
-    // channels whose interned index overflowed the mask
+    // the incremental machine agrees with full evaluation event by event,
+    // including events on channels whose interned index overflowed the
+    // mask
     let mut cs = CompiledSideEval::new(&ce);
-    let mut is = SideEval::new(&e);
-    for &ev in &evs {
+    for (i, &ev) in evs.iter().enumerate() {
         cs.step(ev);
-        is.step(ev);
+        assert_eq!(
+            cs.value(),
+            e.eval(&Trace::finite(evs[..=i].to_vec())),
+            "delta machine diverges on a {n}-channel trace after {} events",
+            i + 1
+        );
     }
-    assert_eq!(
-        cs.value(),
-        is.value(),
-        "delta machines diverge on a {n}-channel trace"
-    );
-    assert_eq!(cs.value(), e.eval(&t));
 }
 
 #[test]

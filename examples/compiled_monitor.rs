@@ -4,7 +4,7 @@
 //! compiled program against the tree interpreter, and run the §2.3
 //! network under the monitor that steps the compiled registers — the
 //! path whose measured overhead (`BENCH_runtime.json`,
-//! `monitored_overhead`) is gated at ≤1.15× a bare run.
+//! `monitored_overhead`) is gated at ≤1.25× a bare run.
 //!
 //! Run with: `cargo run --example compiled_monitor`
 
