@@ -8,17 +8,76 @@
 //! The generated descriptions deliberately mix delta-supported sides with
 //! sides the incremental evaluator cannot handle (infinite constants), so
 //! both the fast path and the full-re-evaluation fallback are exercised,
-//! as are budget expiries in the middle of a BFS level.
+//! as are budget expiries in the middle of a BFS level. They also cover
+//! every machine shape the engine treats differently: stateless chains
+//! (shared between nodes), stateful chains (`TakeWhile`, `CountTicks`,
+//! `Skip`, `EmitFirstAfter`), general graphs with zip and oracle-select
+//! surplus buffers, and a custom function with its own incremental state —
+//! over integer and bit alphabets.
 
 use eqp_core::description::{Alphabet, Description};
 use eqp_core::{enumerate, enumerate_memo, enumerate_par, EnumOptions, Enumeration};
-use eqp_seqfn::paper::ch;
-use eqp_seqfn::SeqExpr;
-use eqp_trace::{Chan, Lasso, Value};
+use eqp_seqfn::paper::{ch, count_ticks, oracle_false, oracle_true, r_map, until_first_false};
+use eqp_seqfn::{CustomDeltaState, SeqExpr, SeqFunction};
+use eqp_trace::{Chan, ChanSet, Event, Lasso, Seq, Trace, Value};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn chan_pool() -> [Chan; 3] {
     [Chan::new(0), Chan::new(1), Chan::new(2)]
+}
+
+/// Custom function with the incremental hook and real state: the running
+/// count of messages on its channel, one element per message (`⟨1 2 3…⟩`).
+#[derive(Debug)]
+struct RunningCount(Chan);
+
+#[derive(Debug)]
+struct RunningCountState {
+    chan: Chan,
+    seen: i64,
+}
+
+impl CustomDeltaState for RunningCountState {
+    fn clone_box(&self) -> Box<dyn CustomDeltaState> {
+        Box::new(RunningCountState {
+            chan: self.chan,
+            seen: self.seen,
+        })
+    }
+
+    fn step(&mut self, ev: Event) -> Vec<Value> {
+        if ev.chan != self.chan {
+            return Vec::new();
+        }
+        self.seen += 1;
+        vec![Value::Int(self.seen)]
+    }
+}
+
+impl SeqFunction for RunningCount {
+    fn eval(&self, t: &Trace) -> Seq {
+        let n = t.seq_on(self.0).len().as_finite().expect("finite trace");
+        Lasso::finite((1..=n as i64).map(Value::Int).collect::<Vec<_>>())
+    }
+
+    fn channels(&self) -> ChanSet {
+        ChanSet::from_chans([self.0])
+    }
+
+    fn name(&self) -> &str {
+        "running-count"
+    }
+
+    fn delta_init(&self) -> Option<(Box<dyn CustomDeltaState>, Vec<Value>)> {
+        Some((
+            Box::new(RunningCountState {
+                chan: self.0,
+                seen: 0,
+            }),
+            Vec::new(),
+        ))
+    }
 }
 
 /// A random continuous expression over the three pooled channels —
@@ -30,11 +89,17 @@ fn arb_expr() -> impl Strategy<Value = SeqExpr> {
         proptest::collection::vec(-1i64..3, 0..3).prop_map(SeqExpr::const_ints),
         // Infinite constant: forces the engine's full-evaluation fallback.
         (-1i64..3).prop_map(|n| SeqExpr::constant(Lasso::repeat(vec![Value::Int(n)]))),
+        (0u32..3).prop_map(|i| SeqExpr::custom(Arc::new(RunningCount(chan_pool()[i as usize])))),
     ];
     leaf.prop_recursive(3, 16, 2, |inner| {
         prop_oneof![
             inner.clone().prop_map(SeqExpr::even),
             inner.clone().prop_map(SeqExpr::odd),
+            inner.clone().prop_map(r_map),
+            inner.clone().prop_map(until_first_false),
+            inner.clone().prop_map(count_ticks),
+            (inner.clone(), inner.clone()).prop_map(|(d, o)| oracle_true(d, o)),
+            (inner.clone(), inner.clone()).prop_map(|(d, o)| oracle_false(d, o)),
             (-1i64..3, 0i64..2, inner.clone()).prop_map(|(a, b, e)| SeqExpr::affine(a, b, e)),
             (0usize..3, inner.clone()).prop_map(|(n, e)| SeqExpr::skip(n, e)),
             (-1i64..3, inner.clone()).prop_map(|(n, e)| SeqExpr::concat([Value::Int(n)], e)),
@@ -53,19 +118,31 @@ fn arb_expr() -> impl Strategy<Value = SeqExpr> {
 
 /// A random 1–2 equation description.
 fn arb_description() -> impl Strategy<Value = Description> {
-    proptest::collection::vec((arb_expr(), arb_expr()), 1..3).prop_map(|eqs| {
+    let equation = prop_oneof![
+        (arb_expr(), arb_expr()),
+        // `c ⟸ g`: a bare channel on the left keeps the tree bushy, so
+        // the right side's machine is stepped and stored at many nodes.
+        (0u32..3, arb_expr()).prop_map(|(i, g)| (ch(chan_pool()[i as usize]), g)),
+    ];
+    proptest::collection::vec(equation, 1..3).prop_map(|eqs| {
         eqs.into_iter()
             .fold(Description::new("random"), |d, (f, g)| d.equation(f, g))
     })
 }
 
-/// A random alphabet over a subset of the pooled channels.
+/// A random alphabet over a subset of the pooled channels: each entry
+/// is an integer range or the bits `{T, F}`.
 fn arb_alphabet() -> impl Strategy<Value = Alphabet> {
-    proptest::collection::vec((0u32..3, -1i64..2, 0i64..3), 1..3).prop_map(|entries| {
+    let entry = prop_oneof![
+        (0u32..3, -1i64..2, 0i64..3).prop_map(|(ci, lo, width)| (ci, Some((lo, lo + width)))),
+        (0u32..3).prop_map(|ci| (ci, None)),
+    ];
+    proptest::collection::vec(entry, 1..3).prop_map(|entries| {
         entries
             .into_iter()
-            .fold(Alphabet::new(), |a, (ci, lo, width)| {
-                a.with_ints(chan_pool()[ci as usize], lo, lo + width)
+            .fold(Alphabet::new(), |a, (ci, ints)| match ints {
+                Some((lo, hi)) => a.with_ints(chan_pool()[ci as usize], lo, hi),
+                None => a.with_bits(chan_pool()[ci as usize]),
             })
     })
 }
@@ -82,7 +159,7 @@ fn assert_identical(tag: &str, got: &Enumeration, want: &Enumeration) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// The tentpole property: all engines agree with the seed, at every
     /// thread count, including under mid-level budget expiry.

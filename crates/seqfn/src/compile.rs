@@ -475,7 +475,7 @@ fn bottom_state(p: &Program) -> Option<(Repr, Vec<Value>)> {
             Some((chan, ops)) => Repr::Chain { chan, ops },
             None => Repr::Graph {
                 slots,
-                bufs: vec![Vec::new(); n],
+                bufs: Vec::new(),
             },
         };
         Some((repr, root_out))
@@ -1205,6 +1205,23 @@ impl Clone for Slot {
             Slot::Custom(st) => Slot::Custom(st.clone_box()),
         }
     }
+
+    /// Reuses `self`'s surplus-buffer allocations when both slots are the
+    /// same kind — the engine resets a scratch machine from its parent
+    /// once per candidate event.
+    fn clone_from(&mut self, src: &Slot) {
+        match (self, src) {
+            (Slot::Zip { pa, pb }, Slot::Zip { pa: sa, pb: sb }) => {
+                pa.clone_from(sa);
+                pb.clone_from(sb);
+            }
+            (Slot::Select { pd, po }, Slot::Select { pd: sd, po: so }) => {
+                pd.clone_from(sd);
+                po.clone_from(so);
+            }
+            (me, src) => *me = src.clone(),
+        }
+    }
 }
 
 /// One pointwise stage of a [`Repr::Chain`] program, with its mutable
@@ -1239,7 +1256,6 @@ enum ChainOp {
 }
 
 /// Runtime shape of a compiled delta machine.
-#[derive(Debug, Clone)]
 enum Repr {
     /// A linear single-channel program: `inst[0]` is the channel leaf and
     /// every later instruction consumes exactly the one before it with a
@@ -1250,10 +1266,57 @@ enum Repr {
     /// was consumed by the init value.
     Chain { chan: Chan, ops: Vec<ChainOp> },
     /// The general DAG: per-slot state plus reusable append buffers.
+    /// `bufs` is scratch — every pass clears a buffer before anyone reads
+    /// it — so clones leave it empty and the first step sizes it.
     Graph {
         slots: Vec<Slot>,
         bufs: Vec<Vec<Value>>,
     },
+}
+
+/// Shows the machine state only: `bufs` is scratch.
+impl fmt::Debug for Repr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Repr::Chain { chan, ops } => f
+                .debug_struct("Chain")
+                .field("chan", chan)
+                .field("ops", ops)
+                .finish(),
+            Repr::Graph { slots, .. } => f
+                .debug_struct("Graph")
+                .field("slots", slots)
+                .finish_non_exhaustive(),
+        }
+    }
+}
+
+impl Clone for Repr {
+    fn clone(&self) -> Repr {
+        match self {
+            Repr::Chain { chan, ops } => Repr::Chain {
+                chan: *chan,
+                ops: ops.clone(),
+            },
+            Repr::Graph { slots, .. } => Repr::Graph {
+                slots: slots.clone(),
+                bufs: Vec::new(),
+            },
+        }
+    }
+
+    /// Copies the machine state into `self`'s allocations, keeping its
+    /// own scratch `bufs`.
+    fn clone_from(&mut self, src: &Repr) {
+        match (self, src) {
+            (Repr::Chain { chan, ops }, Repr::Chain { chan: sc, ops: so }) => {
+                *chan = *sc;
+                ops.clone_from(so);
+            }
+            (Repr::Graph { slots, .. }, Repr::Graph { slots: ss, .. }) => slots.clone_from(ss),
+            (me, src) => *me = src.clone(),
+        }
+    }
 }
 
 /// Recognizes the [`Repr::Chain`] shape, harvesting each stateful op's
@@ -1334,6 +1397,16 @@ impl Clone for CompiledDeltaState {
             repr: self.repr.clone(),
         }
     }
+
+    /// Resets `self` to `src` reusing `self`'s allocations: the op list,
+    /// the slot table and its surplus buffers, and the scratch append
+    /// buffers. The program handle is only re-pointed when it differs.
+    fn clone_from(&mut self, src: &CompiledDeltaState) {
+        if !Arc::ptr_eq(&self.prog, &src.prog) {
+            self.prog = Arc::clone(&src.prog);
+        }
+        self.repr.clone_from(&src.repr);
+    }
 }
 
 impl CompiledDeltaState {
@@ -1374,6 +1447,7 @@ impl CompiledDeltaState {
                     None
                 };
                 let n = prog.insts.len();
+                bufs.resize_with(n, Vec::new);
                 // The index drives `split_at_mut` (operand buffers left
                 // of the one being written) — not a simple iteration.
                 #[allow(clippy::needless_range_loop)]
@@ -1466,6 +1540,66 @@ impl CompiledDeltaState {
         let mut out = Vec::new();
         self.step_into(ev, &mut out);
         out
+    }
+
+    /// True iff stepping never changes this machine: a linear chain whose
+    /// stages are all pointwise maps and filters. Such a machine is
+    /// stepped through `&self` with [`CompiledDeltaState::step_shared`],
+    /// so any number of traces can share one copy. Fixed for the
+    /// machine's lifetime, since stepping changes no stage's kind.
+    pub fn is_stateless(&self) -> bool {
+        match &self.repr {
+            Repr::Chain { ops, .. } => ops.iter().all(|op| {
+                matches!(
+                    op,
+                    ChainOp::Map(_) | ChainOp::Filter(_) | ChainOp::FilterMap { .. }
+                )
+            }),
+            Repr::Graph { .. } => false,
+        }
+    }
+
+    /// [`CompiledDeltaState::step_into`] for a stateless machine, through
+    /// a shared reference: pushes the values one appended event adds.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`CompiledDeltaState::is_stateless`] holds.
+    #[inline]
+    pub fn step_shared(&self, ev: Event, out: &mut Vec<Value>) {
+        let Repr::Chain { chan, ops } = &self.repr else {
+            panic!("step_shared on a stateful machine");
+        };
+        if ev.chan != *chan {
+            return;
+        }
+        let mut val = ev.value;
+        for op in ops {
+            match *op {
+                ChainOp::Map(m) => val = m.apply(&val),
+                ChainOp::Filter(p) => {
+                    if !p.test(&val) {
+                        return;
+                    }
+                }
+                ChainOp::FilterMap { p, m, order } => match order {
+                    FuseOrder::MapThenFilter => {
+                        val = m.apply(&val);
+                        if !p.test(&val) {
+                            return;
+                        }
+                    }
+                    FuseOrder::FilterThenMap => {
+                        if !p.test(&val) {
+                            return;
+                        }
+                        val = m.apply(&val);
+                    }
+                },
+                _ => panic!("step_shared on a stateful machine"),
+            }
+        }
+        out.push(val);
     }
 }
 
@@ -2111,6 +2245,104 @@ mod tests {
             &evs,
         );
         assert_compiled_agrees(&SeqExpr::skip(2, SeqExpr::chan(d())), &evs);
+    }
+
+    /// Machines that steps can change must never be reported stateless:
+    /// the enumeration engine shares a stateless machine between sibling
+    /// nodes, so a wrong `true` would silently corrupt its results.
+    #[test]
+    fn stateless_predicate_matches_the_machine_shape() {
+        let machine = |e: &SeqExpr| e.compile().delta_init().expect("incremental").0;
+        let stateful_chains = [
+            SeqExpr::skip(1, SeqExpr::chan(d())),
+            SeqExpr::TakeWhile(ValuePred::IsTrue, Box::new(SeqExpr::chan(c()))),
+            SeqExpr::CountTicks(Box::new(SeqExpr::chan(c()))),
+            SeqExpr::EmitFirstAfter {
+                need: 2,
+                add: 1,
+                input: Box::new(SeqExpr::chan(d())),
+            },
+            // A stateful stage anywhere in an otherwise pointwise chain.
+            SeqExpr::even(SeqExpr::skip(1, SeqExpr::affine(2, 0, SeqExpr::chan(d())))),
+        ];
+        for e in &stateful_chains {
+            let m = machine(e);
+            assert!(
+                matches!(m.repr, Repr::Chain { .. }),
+                "{e} should be a chain"
+            );
+            assert!(!m.is_stateless(), "{e} has a stateful stage");
+        }
+        let graphs = [
+            SeqExpr::add(SeqExpr::chan(b()), SeqExpr::chan(d())),
+            SeqExpr::OracleSelect {
+                data: Box::new(SeqExpr::chan(d())),
+                oracle: Box::new(SeqExpr::chan(c())),
+                keep: false,
+            },
+            // Pointwise on top, but the machine is still a graph.
+            SeqExpr::even(SeqExpr::add(SeqExpr::chan(b()), SeqExpr::chan(d()))),
+        ];
+        for e in &graphs {
+            let m = machine(e);
+            assert!(
+                matches!(m.repr, Repr::Graph { .. }),
+                "{e} should be a graph"
+            );
+            assert!(!m.is_stateless(), "{e} is a graph");
+        }
+        let pointwise = [
+            SeqExpr::chan(d()),
+            SeqExpr::even(SeqExpr::chan(d())),
+            SeqExpr::affine(2, 0, SeqExpr::even(SeqExpr::chan(d()))),
+            SeqExpr::even(SeqExpr::affine(2, 1, SeqExpr::chan(d()))),
+            SeqExpr::Map(
+                ValueMap::R,
+                Box::new(SeqExpr::affine(2, 0, SeqExpr::chan(c()))),
+            ),
+            SeqExpr::concat([Value::Int(5)], SeqExpr::odd(SeqExpr::chan(d()))),
+        ];
+        for e in &pointwise {
+            assert!(machine(e).is_stateless(), "{e} is pointwise");
+        }
+    }
+
+    proptest::proptest! {
+        /// `&self` stepping of a stateless machine equals `step_into` on
+        /// every prefix, and never changes the machine.
+        #[test]
+        fn shared_step_matches_step_into(
+            stages in proptest::collection::vec((0u8..4, -2i64..3), 0..5),
+            raw in proptest::collection::vec((0u32..3, 0u8..3, -3i64..4), 0..40),
+        ) {
+            let e = stages.iter().fold(SeqExpr::chan(d()), |e, &(kind, k)| match kind {
+                0 => SeqExpr::affine(k, 1, e),
+                1 => SeqExpr::even(e),
+                2 => SeqExpr::Map(ValueMap::R, Box::new(e)),
+                _ => SeqExpr::Filter(ValuePred::IntIs(k), Box::new(e)),
+            });
+            let ce = e.compile();
+            // Contradictory filters fold to a constant, which is no chain.
+            if !ce.is_const() {
+                let (shared, init) = ce.delta_init().expect("incremental");
+                proptest::prop_assert!(shared.is_stateless(), "{} is pointwise", e);
+                let before = format!("{shared:?}");
+                let mut stepped = shared.clone();
+                let (mut a, mut b) = (init.clone(), init);
+                for (ch, kind, n) in raw {
+                    let value = match kind {
+                        0 => Value::Int(n),
+                        1 => Value::Bit(n > 0),
+                        _ => Value::Pair(0, n),
+                    };
+                    let ev = Event::new(Chan::new(ch), value);
+                    shared.step_shared(ev, &mut a);
+                    stepped.step_into(ev, &mut b);
+                    proptest::prop_assert_eq!(&a, &b, "{} diverged at {:?}", e, ev);
+                }
+                proptest::prop_assert_eq!(format!("{shared:?}"), before);
+            }
+        }
     }
 
     #[test]

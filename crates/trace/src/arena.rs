@@ -8,18 +8,15 @@
 //! a node pointing at its predecessor, so that:
 //!
 //! * extending a chain by one element is **O(1)** (one arena push);
-//! * every prefix of every chain is itself a chain (ids are stable);
-//! * each node carries a 128-bit **structural hash** of the whole sequence
-//!   up to that node, so sequence equality and prefix tests reduce to
-//!   hash comparisons (verified exactly where correctness demands it);
+//! * every prefix of every chain is itself a chain (ids are stable), so
+//!   two chains sharing a node share everything before it — equality and
+//!   prefix tests walk only the part where they differ;
 //! * each node carries a *jump pointer* (the skip tree of Myers' applicative
 //!   lists), giving **O(log n)** access to the ancestor at any depth.
 //!
 //! The arena is used both for event chains (the enumeration tree itself)
 //! and for value chains (the incrementally evaluated outputs of a
 //! description's sequence functions).
-
-use std::hash::{Hash, Hasher};
 
 /// Id of a chain (equivalently: of its last node) inside a [`ChainArena`].
 ///
@@ -36,38 +33,6 @@ impl ChainId {
     }
 }
 
-/// A 128-bit structural hash: equal sequences hash equal; distinct
-/// sequences collide with probability ~2⁻¹²⁸ (the engine additionally
-/// verifies exactly wherever a false positive could corrupt results).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ChainHash(u64, u64);
-
-/// The hash of the empty chain.
-const EMPTY_HASH: ChainHash = ChainHash(0x9AE1_6A3B_2F90_404F, 0x3C6E_F372_FE94_F82B);
-
-fn mix(h: u64, x: u64) -> u64 {
-    // SplitMix64 finalizer over the running state — cheap and well mixed.
-    let mut z = h ^ x.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-fn item_digest<T: Hash>(item: &T) -> u64 {
-    // DefaultHasher uses fixed keys, so digests are deterministic across
-    // runs and threads.
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    item.hash(&mut h);
-    h.finish()
-}
-
-fn extend_hash(parent: ChainHash, digest: u64) -> ChainHash {
-    ChainHash(
-        mix(parent.0, digest),
-        mix(parent.1, digest ^ 0xA5A5_A5A5_A5A5_A5A5),
-    )
-}
-
 #[derive(Debug, Clone)]
 struct Node<T> {
     item: T,
@@ -77,7 +42,6 @@ struct Node<T> {
     /// the two skip lengths match, else the parent itself).
     jump: ChainId,
     len: u32,
-    hash: ChainHash,
 }
 
 /// An arena of persistent append-only chains over `T`.
@@ -107,7 +71,7 @@ impl<T> Default for ChainArena<T> {
     }
 }
 
-impl<T: Hash + Clone + Eq> ChainArena<T> {
+impl<T: Clone + Eq> ChainArena<T> {
     /// An empty arena.
     pub fn new() -> ChainArena<T> {
         ChainArena::default()
@@ -128,11 +92,6 @@ impl<T: Hash + Clone + Eq> ChainArena<T> {
         id.index().map_or(0, |i| self.nodes[i].len as usize)
     }
 
-    /// Structural hash of chain `id`.
-    pub fn hash(&self, id: ChainId) -> ChainHash {
-        id.index().map_or(EMPTY_HASH, |i| self.nodes[i].hash)
-    }
-
     /// The last item of chain `id` (`None` for the empty chain).
     pub fn last(&self, id: ChainId) -> Option<&T> {
         id.index().map(|i| &self.nodes[i].item)
@@ -146,7 +105,6 @@ impl<T: Hash + Clone + Eq> ChainArena<T> {
     /// Extends chain `id` by `item` — O(1).
     pub fn push(&mut self, id: ChainId, item: T) -> ChainId {
         let len = self.chain_len(id) as u32 + 1;
-        let hash = extend_hash(self.hash(id), item_digest(&item));
         // Myers jump pointer: if parent and its jump span equal lengths,
         // jump twice as far; otherwise jump to the parent.
         let jump = match id.index() {
@@ -168,7 +126,6 @@ impl<T: Hash + Clone + Eq> ChainArena<T> {
             parent: id,
             jump,
             len,
-            hash,
         };
         self.nodes.push(node);
         ChainId((self.nodes.len() - 1) as u32)
@@ -243,24 +200,11 @@ impl<T: Hash + Clone + Eq> ChainArena<T> {
         true
     }
 
-    /// Probabilistic prefix test: is chain `a` a prefix of chain `b`?
-    /// Compares the 128-bit hash of `b`'s prefix at `a`'s length — a false
-    /// positive needs a 128-bit collision.
+    /// Is chain `a` a prefix of chain `b`? Exact: compares `b`'s
+    /// ancestor at `a`'s length with `a` by [`ChainArena::chains_eq`].
     pub fn is_prefix(&self, a: ChainId, b: ChainId) -> bool {
         let la = self.chain_len(a);
-        la <= self.chain_len(b) && self.hash(self.ancestor_at(b, la)) == self.hash(a)
-    }
-
-    /// Hash that chain `id` would have after appending `items` — without
-    /// mutating the arena (used to test candidate extensions).
-    pub fn hash_extended<'a, I>(&self, id: ChainId, items: I) -> ChainHash
-    where
-        I: IntoIterator<Item = &'a T>,
-        T: 'a,
-    {
-        items
-            .into_iter()
-            .fold(self.hash(id), |h, it| extend_hash(h, item_digest(it)))
+        la <= self.chain_len(b) && self.chains_eq(self.ancestor_at(b, la), a)
     }
 }
 
@@ -296,17 +240,19 @@ mod tests {
 
     #[test]
     fn hashes_are_content_determined() {
+        // Equality is by content, not by node identity.
         let mut a = ChainArena::new();
         let p1 = a.push(ChainId::EMPTY, 7u64);
         let c1 = a.push(p1, 8);
         // A second, structurally separate chain with the same content:
         let p2 = a.push(ChainId::EMPTY, 7);
         let c2 = a.push(p2, 8);
-        assert_eq!(a.hash(c1), a.hash(c2));
+        assert_ne!(c1, c2);
         assert!(a.chains_eq(c1, c2));
+        assert!(a.is_prefix(p2, c1) && a.is_prefix(c1, c2));
         let d = a.push(p2, 9);
-        assert_ne!(a.hash(c1), a.hash(d));
         assert!(!a.chains_eq(c1, d));
+        assert!(!a.is_prefix(c1, d));
     }
 
     #[test]
@@ -341,13 +287,19 @@ mod tests {
     }
 
     #[test]
-    fn hash_extended_matches_actual_push() {
+    fn prefix_test_is_exact_across_separate_chains() {
+        // Same-content chains built apart share no node past the root, so
+        // the prefix test must compare items, not ids.
         let mut a = ChainArena::new();
         let base = a.push(ChainId::EMPTY, 'a');
-        let predicted = a.hash_extended(base, ['b', 'c'].iter());
         let b = a.push(base, 'b');
         let c = a.push(b, 'c');
-        assert_eq!(predicted, a.hash(c));
-        assert_eq!(a.hash_extended(base, std::iter::empty()), a.hash(base));
+        let other = a.push(ChainId::EMPTY, 'a');
+        let other_b = a.push(other, 'b');
+        assert!(a.is_prefix(other_b, c));
+        assert!(a.is_prefix(other, c));
+        let other_x = a.push(other, 'x');
+        assert!(!a.is_prefix(other_x, c));
+        assert!(!a.is_prefix(c, other_b));
     }
 }

@@ -56,7 +56,7 @@ pub mod lasso;
 pub mod trace;
 pub mod value;
 
-pub use arena::{ChainArena, ChainHash, ChainId};
+pub use arena::{ChainArena, ChainId};
 pub use chan::{Chan, ChanSet};
 pub use domain::{SeqDomain, TraceDomain};
 pub use event::Event;
