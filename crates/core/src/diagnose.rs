@@ -46,7 +46,8 @@ pub struct SmoothReport {
     pub limits: Vec<LimitVerdict>,
     /// First smoothness violation, if any (within the checked depth).
     pub violation: Option<SmoothnessViolation>,
-    /// Depth to which smoothness was checked.
+    /// Depth to which smoothness was checked; `usize::MAX` when a lasso
+    /// was proved smooth at every depth.
     pub depth: usize,
 }
 
@@ -59,11 +60,18 @@ impl SmoothReport {
 
 impl fmt::Display for SmoothReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "smooth-solution report for `{}` (depth {}):",
-            self.description, self.depth
-        )?;
+        match self.depth {
+            usize::MAX => writeln!(
+                f,
+                "smooth-solution report for `{}` (every depth):",
+                self.description
+            )?,
+            depth => writeln!(
+                f,
+                "smooth-solution report for `{}` (depth {depth}):",
+                self.description
+            )?,
+        }
         for l in &self.limits {
             if l.holds {
                 writeln!(f, "  limit[{}]: ok ({} = {})", l.component, l.lhs, l.rhs)?;

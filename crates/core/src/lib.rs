@@ -17,10 +17,11 @@
 //! * [`Description`] / [`System`] — descriptions with tuple-valued sides,
 //!   built from the [`eqp_seqfn::SeqExpr`] combinator algebra
 //!   ([`description`]).
-//! * [`smooth`] — the smooth-solution predicate, exact on finite traces and
-//!   on eventually periodic (lasso) traces via a periodicity-bounded
-//!   certificate; plus **Theorem 1**'s simplification for independent
-//!   sides.
+//! * [`smooth`] — the smooth-solution predicate, exact on finite traces;
+//!   on eventually periodic (lasso) traces [`smooth::smoothness`] proves
+//!   smoothness by a repeated evaluator state at a cycle boundary, returns
+//!   the first violation, or says it is unproven; plus **Theorem 1**'s
+//!   simplification for independent sides.
 //! * [`mod@enumerate`] — the operational tree of Section 3.3: breadth-first
 //!   enumeration of all bounded computations/smooth solutions over a
 //!   message alphabet. [`engine`] computes the same tree faster

@@ -6,7 +6,7 @@ use eqp_core::compose::{sublemma_agrees, Component};
 use eqp_core::description::{Alphabet, Description, System};
 use eqp_core::smooth::{
     is_smooth, is_smooth_at_depth, is_smooth_independent, lemma2_consequent, limit_holds,
-    smoothness_holds,
+    smoothness, smoothness_holds, smoothness_violation, Smoothness,
 };
 use eqp_core::{eliminate, enumerate, reconstruct_witness, EnumOptions};
 use eqp_seqfn::paper::{ch, even, odd, prepend_int, twice};
@@ -36,6 +36,26 @@ fn arb_event() -> impl Strategy<Value = Event> {
 
 fn arb_finite_trace() -> impl Strategy<Value = Trace> {
     proptest::collection::vec(arb_event(), 0..8).prop_map(Trace::finite)
+}
+
+/// The exact lasso decision against explicit-depth search out to four
+/// times the old size-scaled heuristic depth: a proof finds nothing there,
+/// and a violation is the first one, none is left unproven.
+fn assert_exact_against_deep(desc: &Description, t: &Trace) {
+    let size: usize = desc.lhs().iter().chain(desc.rhs()).map(SeqExpr::size).sum();
+    let (p, c) = (t.as_lasso().prefix().len(), t.as_lasso().cycle().len());
+    let deep = 4 * (p + c * (8 + 2 * size));
+    match smoothness(desc, t) {
+        Smoothness::Smooth => assert_eq!(smoothness_violation(desc, t, deep), None, "on {t}"),
+        Smoothness::Violation(w) => {
+            assert_eq!(
+                smoothness_violation(desc, t, deep),
+                Some((w.u, w.v)),
+                "on {t}"
+            )
+        }
+        Smoothness::Unproven { events } => panic!("unproven after {events} events on {t}"),
+    }
 }
 
 proptest! {
@@ -181,16 +201,14 @@ proptest! {
         prop_assert_eq!(via_chain, is_smooth(&desc, &t));
     }
 
-    /// Certificate validation: for random lasso traces, any smoothness
-    /// violation that exists within 4× the default certificate depth is
-    /// already found within the certificate depth — empirical support for
-    /// the periodicity argument behind `default_certificate_depth`.
+    /// Lasso certification: on random `net23` lassos the exact decision
+    /// agrees with the explicit-depth check 4× past the old heuristic
+    /// depth — a proof finds nothing there, a violation is its first one.
     #[test]
     fn certificate_depth_sufficient_on_lassos(
         prefix in proptest::collection::vec(-2i64..4, 0..4),
         cycle in proptest::collection::vec(-2i64..4, 1..4),
     ) {
-        use eqp_core::smooth::{default_certificate_depth, smoothness_violation};
         let desc = Description::new("net23")
             .equation(even(ch(d())), prepend_int(0, twice(ch(d()))))
             .equation(odd(ch(d())), SeqExpr::affine(2, 1, ch(d())));
@@ -198,20 +216,16 @@ proptest! {
             prefix.iter().map(|&n| Event::int(d(), n)).collect::<Vec<_>>(),
             cycle.iter().map(|&n| Event::int(d(), n)).collect::<Vec<_>>(),
         );
-        let depth = default_certificate_depth(&desc, &t);
-        let shallow = smoothness_violation(&desc, &t, depth).is_some();
-        let deep = smoothness_violation(&desc, &t, 4 * depth).is_some();
-        prop_assert_eq!(shallow, deep, "violation only beyond certificate depth on {}", t);
+        assert_exact_against_deep(&desc, &t);
     }
 
-    /// The same certificate validation for the dfm description over
-    /// random two-channel lassos.
+    /// The same lasso certification for the dfm description over random
+    /// two-channel lassos.
     #[test]
     fn certificate_depth_sufficient_dfm(
         prefix in proptest::collection::vec((0u32..3usize as u32, -2i64..4), 0..4),
         cycle in proptest::collection::vec((0u32..3, -2i64..4), 1..4),
     ) {
-        use eqp_core::smooth::{default_certificate_depth, smoothness_violation};
         let desc = dfm();
         let mk = |v: &Vec<(u32, i64)>| {
             v.iter()
@@ -219,10 +233,7 @@ proptest! {
                 .collect::<Vec<_>>()
         };
         let t = Trace::lasso(mk(&prefix), mk(&cycle));
-        let depth = default_certificate_depth(&desc, &t);
-        let shallow = smoothness_violation(&desc, &t, depth).is_some();
-        let deep = smoothness_violation(&desc, &t, 4 * depth).is_some();
-        prop_assert_eq!(shallow, deep, "violation only beyond certificate depth on {}", t);
+        assert_exact_against_deep(&desc, &t);
     }
 
     /// is_smooth_at_depth is monotone in depth: failing shallow ⇒ failing

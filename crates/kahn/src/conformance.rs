@@ -20,8 +20,8 @@
 
 use crate::network::RunResult;
 use crate::report::RunReport;
-use eqp_core::diagnose::{diagnose, SmoothReport};
-use eqp_core::smooth::default_certificate_depth;
+use eqp_core::diagnose::{diagnose, limit_verdicts, SmoothReport};
+use eqp_core::smooth::{smoothness, Smoothness};
 use eqp_core::Description;
 use eqp_trace::lasso::Length;
 use eqp_trace::{ChanSet, Trace};
@@ -231,7 +231,17 @@ pub fn check_trace(
     let t = projected.as_ref().unwrap_or(trace);
     let depth = match t.len() {
         Length::Finite(n) => n,
-        Length::Infinite => default_certificate_depth(desc, t),
+        Length::Infinite => {
+            let (report, verdict) = lasso_report(desc, t, quiescent);
+            return Conformance {
+                description: desc.name().to_owned(),
+                verdict,
+                report,
+                quiescent,
+                checked: projected.unwrap_or_else(|| trace.clone()),
+                equations: render_equations(desc),
+            };
+        }
     };
     let report = diagnose(desc, t, depth);
     let verdict = verdict_from_report(&report, quiescent);
@@ -243,6 +253,33 @@ pub fn check_trace(
         checked: projected.unwrap_or_else(|| trace.clone()),
         equations: render_equations(desc),
     }
+}
+
+/// The report and verdict for a lasso trace, from the exact
+/// [`smoothness`] decision. The report's depth is the number of pairs
+/// checked, `usize::MAX` once smoothness is proved. An unproven lasso is
+/// at best a [`Verdict::SmoothPrefix`], never a solution; a failing limit
+/// at quiescence still convicts.
+fn lasso_report(desc: &Description, t: &Trace, quiescent: bool) -> (SmoothReport, Verdict) {
+    let (violation, depth, proved) = match smoothness(desc, t) {
+        Smoothness::Smooth => (None, usize::MAX, true),
+        Smoothness::Violation(v) => {
+            let depth = v.v.len().as_finite().expect("a witness pair is finite");
+            (Some(v), depth, true)
+        }
+        Smoothness::Unproven { events } => (None, events, false),
+    };
+    let report = SmoothReport {
+        description: desc.name().to_owned(),
+        limits: limit_verdicts(&desc.eval_lhs(t), &desc.eval_rhs(t)),
+        violation,
+        depth,
+    };
+    let verdict = match verdict_from_report(&report, quiescent) {
+        Verdict::SmoothSolution if !proved => Verdict::SmoothPrefix,
+        verdict => verdict,
+    };
+    (report, verdict)
 }
 
 /// Checks a [`RunResult`] against a description.
@@ -352,6 +389,43 @@ mod tests {
         ));
         assert!(!conf.is_conformant());
         assert!(conf.to_string().contains("SMOOTHNESS VIOLATION"));
+    }
+
+    #[test]
+    fn lasso_traces_are_decided_exactly() {
+        let opts = ConformanceOptions::default();
+        let echo = [
+            Event::int(b(), 10),
+            Event::int(d(), 10),
+            Event::int(c(), 21),
+            Event::int(d(), 21),
+        ];
+        let conf = check_trace(&dfm(), &Trace::lasso([], echo), true, &opts);
+        assert_eq!(conf.verdict, Verdict::SmoothSolution);
+        assert!(conf.report.to_string().contains("(every depth)"));
+        let mut early = echo;
+        early.swap(0, 1);
+        let conf = check_trace(&dfm(), &Trace::lasso([], early), true, &opts);
+        assert_eq!(conf.verdict, Verdict::SmoothnessViolation { component: 0 });
+        assert_eq!(conf.report.depth, 1);
+        // a skip constant past the old heuristic depth still convicts
+        let skip = Description::new("skip").equation(
+            eqp_seqfn::SeqExpr::skip(20, ch(b())),
+            eqp_seqfn::SeqExpr::skip(20, ch(c())),
+        );
+        let t = Trace::lasso([], [Event::int(b(), 0), Event::int(c(), 0)]);
+        let conf = check_trace(&skip, &t, true, &opts);
+        assert_eq!(conf.verdict, Verdict::SmoothnessViolation { component: 0 });
+        assert_eq!(conf.report.depth, 41);
+        // an unbounded tick count is never proved: a prefix, not a solution
+        let count = Description::new("count").equation(
+            eqp_seqfn::paper::count_ticks(ch(b())),
+            eqp_seqfn::SeqExpr::epsilon(),
+        );
+        let ticks = Trace::lasso([], [Event::bit(b(), true)]);
+        let conf = check_trace(&count, &ticks, true, &opts);
+        assert_eq!(conf.verdict, Verdict::SmoothPrefix);
+        assert!(conf.report.limits.iter().all(|l| l.holds));
     }
 
     #[test]

@@ -1559,6 +1559,68 @@ impl CompiledDeltaState {
         }
     }
 
+    /// Appends a canonical key of the machine's behaviour-relevant state to
+    /// `out`: equal keys from two machines of the same program mean equal
+    /// appended values under every continuation.
+    ///
+    /// The key holds the stateful stages' counters and flags and the
+    /// `Zip`/`Select` surplus contents. It leaves out the scratch buffers
+    /// and how much the machine has emitted, and it drops dead state: a
+    /// finished tick counter forgets its count, a fired emitter its
+    /// threshold progress. So a stateless machine keys to nothing,
+    /// whatever history it was fed.
+    ///
+    /// Returns `false`, with `out` partly written, when a custom stage has
+    /// no [`CustomDeltaState::encode`] hook: such a machine is opaque.
+    pub fn state_key(&self, out: &mut Vec<u8>) -> bool {
+        match &self.repr {
+            Repr::Chain { ops, .. } => {
+                for op in ops {
+                    match *op {
+                        ChainOp::Map(_) | ChainOp::Filter(_) | ChainOp::FilterMap { .. } => {}
+                        ChainOp::Skip { remaining } => key_usize(remaining, out),
+                        ChainOp::TakeWhile { done, .. } => out.push(done as u8),
+                        ChainOp::Count { ticks, done } => key_count(ticks, done, out),
+                        ChainOp::Emit { st, .. } => key_emit(&st, out),
+                    }
+                }
+                true
+            }
+            Repr::Graph { slots, .. } => slots.iter().all(|slot| match slot {
+                Slot::Pass => true,
+                Slot::Zip { pa: x, pb: y } | Slot::Select { pd: x, po: y } => {
+                    key_values(x.iter(), out);
+                    key_values(y.iter(), out);
+                    true
+                }
+                Slot::TakeWhile { done } => {
+                    out.push(*done as u8);
+                    true
+                }
+                Slot::Skip { remaining } => {
+                    key_usize(*remaining, out);
+                    true
+                }
+                Slot::Count { ticks, done } => {
+                    key_count(*ticks, *done, out);
+                    true
+                }
+                Slot::Emit(st) => {
+                    key_emit(st, out);
+                    true
+                }
+                Slot::Custom(st) => match st.encode() {
+                    Some(bytes) => {
+                        key_usize(bytes.len(), out);
+                        out.extend_from_slice(&bytes);
+                        true
+                    }
+                    None => false,
+                },
+            }),
+        }
+    }
+
     /// [`CompiledDeltaState::step_into`] for a stateless machine, through
     /// a shared reference: pushes the values one appended event adds.
     ///
@@ -1680,6 +1742,69 @@ fn chain_step(ops: &mut [ChainOp], mut val: Value, out: &mut Vec<Value>) {
         }
     }
     out.push(val);
+}
+
+// ---------------------------------------------------------------------------
+// Canonical state keys
+// ---------------------------------------------------------------------------
+
+fn key_usize(n: usize, out: &mut Vec<u8>) {
+    out.extend_from_slice(&(n as u64).to_le_bytes());
+}
+
+fn key_value(v: &Value, out: &mut Vec<u8>) {
+    match *v {
+        Value::Int(n) => {
+            out.push(0);
+            out.extend_from_slice(&n.to_le_bytes());
+        }
+        Value::Bit(b) => out.extend_from_slice(&[1, b as u8]),
+        Value::Pair(tag, n) => {
+            out.extend_from_slice(&[2, tag]);
+            out.extend_from_slice(&n.to_le_bytes());
+        }
+    }
+}
+
+fn key_values<'a>(vals: impl ExactSizeIterator<Item = &'a Value>, out: &mut Vec<u8>) {
+    key_usize(vals.len(), out);
+    for v in vals {
+        key_value(v, out);
+    }
+}
+
+/// Appends the canonical, length-prefixed key of a value sequence — the
+/// encoding [`CompiledDeltaState::state_key`] uses for surplus buffers,
+/// for callers that key a side's unmatched output next to its machine.
+pub fn key_seq(vals: &[Value], out: &mut Vec<u8>) {
+    key_values(vals.iter(), out);
+}
+
+/// A finished counter's count is dead: it never emits again.
+fn key_count(ticks: i64, done: bool, out: &mut Vec<u8>) {
+    if done {
+        out.push(1);
+    } else {
+        out.push(0);
+        out.extend_from_slice(&ticks.to_le_bytes());
+    }
+}
+
+/// A fired emitter's progress is dead: it never emits again.
+fn key_emit(st: &EmitState, out: &mut Vec<u8>) {
+    if st.emitted {
+        out.push(1);
+        return;
+    }
+    out.push(0);
+    key_usize(st.seen, out);
+    match &st.first {
+        None => out.push(0),
+        Some(v) => {
+            out.push(1);
+            key_value(v, out);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -2374,6 +2499,106 @@ mod tests {
         let o = CompiledSideEval::new(&inf);
         assert!(!o.is_incremental());
         assert_eq!(o.value(), Lasso::repeat(vec![Value::Int(0)]));
+    }
+
+    #[test]
+    fn state_keys_drop_position_and_dead_state() {
+        let key_after = |e: &SeqExpr, evs: &[Event]| {
+            let (mut m, _) = e.compile().delta_init().expect("incremental");
+            for &ev in evs {
+                m.step(ev);
+            }
+            let mut key = Vec::new();
+            assert!(m.state_key(&mut key), "{e} has a key");
+            key
+        };
+        let ds = |ns: &[i64]| ns.iter().map(|&n| Event::int(d(), n)).collect::<Vec<_>>();
+        let bits = |bs: &[bool]| bs.iter().map(|&b| Event::bit(c(), b)).collect::<Vec<_>>();
+        // a stateless chain keys to nothing, however much it emitted
+        let even = SeqExpr::even(SeqExpr::chan(d()));
+        assert_eq!(
+            key_after(&even, &ds(&[0])),
+            key_after(&even, &ds(&[0, 2, 4, 6, 8]))
+        );
+        assert!(key_after(&even, &ds(&[2])).is_empty());
+        // an exhausted skip forgets how long ago it ran out…
+        let skip = SeqExpr::skip(2, SeqExpr::chan(d()));
+        assert_eq!(
+            key_after(&skip, &ds(&[1, 2, 3])),
+            key_after(&skip, &ds(&[1, 2, 3, 4, 5]))
+        );
+        // …but not how much it still has to drop
+        assert_ne!(key_after(&skip, &ds(&[1])), key_after(&skip, &ds(&[1, 2])));
+        // a finished counter forgets its count, a running one does not
+        let count = SeqExpr::CountTicks(Box::new(SeqExpr::chan(c())));
+        assert_eq!(
+            key_after(&count, &bits(&[false])),
+            key_after(&count, &bits(&[true, true, false]))
+        );
+        assert_ne!(
+            key_after(&count, &bits(&[])),
+            key_after(&count, &bits(&[true]))
+        );
+        // a fired emitter forgets what it saw
+        let emit = SeqExpr::EmitFirstAfter {
+            need: 2,
+            add: 0,
+            input: Box::new(SeqExpr::chan(d())),
+        };
+        assert_eq!(
+            key_after(&emit, &ds(&[1, 2])),
+            key_after(&emit, &ds(&[5, 6, 7]))
+        );
+        assert_ne!(key_after(&emit, &ds(&[1])), key_after(&emit, &ds(&[5])));
+        // a zip keys its surplus contents
+        let zip = SeqExpr::add(SeqExpr::chan(b()), SeqExpr::chan(d()));
+        let b1 = Event::int(b(), 1);
+        assert_eq!(
+            key_after(&zip, &[b1, Event::int(d(), 0), b1]),
+            key_after(&zip, &[b1])
+        );
+        assert_ne!(
+            key_after(&zip, &[b1]),
+            key_after(&zip, &[Event::int(b(), 2)])
+        );
+    }
+
+    #[test]
+    fn custom_state_keys_need_the_encode_hook() {
+        #[derive(Debug, Clone)]
+        struct Echo(bool);
+        impl CustomDeltaState for Echo {
+            fn clone_box(&self) -> Box<dyn CustomDeltaState> {
+                Box::new(self.clone())
+            }
+            fn step(&mut self, ev: Event) -> Vec<Value> {
+                vec![ev.value]
+            }
+            fn encode(&self) -> Option<Vec<u8>> {
+                self.0.then(Vec::new)
+            }
+        }
+        #[derive(Debug)]
+        struct EchoFn(bool);
+        impl SeqFunction for EchoFn {
+            fn eval(&self, t: &Trace) -> Seq {
+                t.seq_on(Chan::new(0))
+            }
+            fn channels(&self) -> ChanSet {
+                ChanSet::from_chans([Chan::new(0)])
+            }
+            fn name(&self) -> &str {
+                "echo"
+            }
+            fn delta_init(&self) -> Option<(Box<dyn CustomDeltaState>, Vec<Value>)> {
+                Some((Box::new(Echo(self.0)), Vec::new()))
+            }
+        }
+        for encodes in [true, false] {
+            let e = SeqExpr::custom(Arc::new(EchoFn(encodes)));
+            let (m, _) = e.compile().delta_init().expect("incremental");
+            assert_eq!(m.state_key(&mut Vec::new()), encodes);
+        }
     }
 
     #[test]

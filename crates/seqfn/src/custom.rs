@@ -49,6 +49,17 @@ pub trait CustomDeltaState: Debug + Send + Sync {
     /// Advances by one appended event, returning the appended output
     /// values.
     fn step(&mut self, ev: Event) -> Vec<Value>;
+
+    /// Optional canonical encoding of the state, for
+    /// [`CompiledDeltaState::state_key`](crate::CompiledDeltaState::state_key).
+    ///
+    /// Returning `Some(bytes)` asserts that two states of the same
+    /// function with equal bytes append equal values under every
+    /// continuation. The default is `None`: the state is *opaque*, so a
+    /// machine holding it has no key and is never proved periodic.
+    fn encode(&self) -> Option<Vec<u8>> {
+        None
+    }
 }
 
 #[cfg(test)]

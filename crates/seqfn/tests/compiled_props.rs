@@ -15,10 +15,15 @@
 //!   (possibly optimizer-shrunk) compiled channel set, and out-of-support
 //!   events step to no-ops;
 //! * cloning a compiled machine mid-stream and resuming both copies gives
-//!   identical results (the checkpoint/resume contract at this layer).
+//!   identical results (the checkpoint/resume contract at this layer);
+//! * equal `CompiledDeltaState::state_key`s mean equal appended values on
+//!   random continuations, and a stateless machine's key ignores how much
+//!   it has emitted.
 
 use eqp_seqfn::compile::step_check;
-use eqp_seqfn::{CompiledSideEval, SeqExpr, SeqFunction, ValueMap, ValuePred, ValueZip};
+use eqp_seqfn::{
+    CompiledDeltaState, CompiledSideEval, SeqExpr, SeqFunction, ValueMap, ValuePred, ValueZip,
+};
 use eqp_trace::{Chan, ChanSet, Event, Lasso, Seq, Trace, Value};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -66,6 +71,10 @@ impl eqp_seqfn::CustomDeltaState for ParityState {
         } else {
             Vec::new()
         }
+    }
+    fn encode(&self) -> Option<Vec<u8>> {
+        // stateless: the channel is part of the program
+        Some(Vec::new())
     }
 }
 
@@ -341,6 +350,110 @@ proptest! {
             format!("{a:?}"), format!("{b:?}"),
             "clone state diverged for {}", e
         );
+    }
+}
+
+/// Events over a narrow alphabet, so two short histories often leave a
+/// machine in the same state.
+fn narrow_events(max: usize) -> impl Strategy<Value = Vec<Event>> {
+    proptest::collection::vec(
+        (
+            0u32..3,
+            prop_oneof![
+                (0i64..2).prop_map(Value::Int),
+                any::<bool>().prop_map(Value::Bit),
+            ],
+        )
+            .prop_map(|(c, v)| Event::new(Chan::new(c), v)),
+        0..max,
+    )
+}
+
+/// The shared generator, or one stateful stage straight over a channel
+/// (where random histories do reach the stage's state), or a zip of two
+/// channels (whose surplus they do fill).
+fn keyed_expr() -> impl Strategy<Value = SeqExpr> {
+    let stage = (0u8..4, 1usize..4, 0u32..3).prop_map(|(kind, n, c)| {
+        let e = SeqExpr::chan(Chan::new(c));
+        match kind {
+            0 => SeqExpr::CountTicks(Box::new(e)),
+            1 => SeqExpr::skip(n, e),
+            2 => SeqExpr::TakeWhile(ValuePred::IsTrue, Box::new(e)),
+            _ => SeqExpr::EmitFirstAfter {
+                need: n,
+                add: 0,
+                input: Box::new(e),
+            },
+        }
+    });
+    let zip = (0u32..3, 0u32..3).prop_map(|(a, b)| {
+        SeqExpr::Zip(
+            ValueZip::And,
+            Box::new(SeqExpr::chan(Chan::new(a))),
+            Box::new(SeqExpr::chan(Chan::new(b))),
+        )
+    });
+    prop_oneof![expr(), stage, zip]
+}
+
+/// Steps a fresh machine for `c` over `h`; `None` without one.
+fn machine_after(c: &eqp_seqfn::CompiledExpr, h: &[Event]) -> Option<CompiledDeltaState> {
+    let (mut m, _) = c.delta_init()?;
+    for &ev in h {
+        m.step(ev);
+    }
+    Some(m)
+}
+
+proptest! {
+    // Random histories seldom land two stateful machines in one state;
+    // enough cases that dozens of stateful keys do compare equal.
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Key soundness: two machines of one program whose state keys are
+    /// equal append equal values on every one of 64 random continuations.
+    #[test]
+    fn equal_state_keys_mean_equal_deltas(
+        e in keyed_expr(),
+        h1 in narrow_events(6),
+        h2 in narrow_events(6),
+        conts in proptest::collection::vec(narrow_events(8), 64),
+    ) {
+        let c = e.compile();
+        let (Some(a), Some(b)) = (machine_after(&c, &h1), machine_after(&c, &h2)) else {
+            return;
+        };
+        let (mut ka, mut kb) = (Vec::new(), Vec::new());
+        if a.state_key(&mut ka) && b.state_key(&mut kb) && ka == kb {
+            for cont in &conts {
+                let (mut a, mut b) = (a.clone(), b.clone());
+                for &ev in cont {
+                    prop_assert_eq!(
+                        a.step(ev), b.step(ev),
+                        "equal keys, unequal deltas for {} after {:?} / {:?}", e, h1, h2
+                    );
+                }
+            }
+        }
+    }
+
+    /// The key leaves out output position: a stateless machine keys the
+    /// same after histories of any lengths.
+    #[test]
+    fn state_key_ignores_output_position(
+        e in expr(),
+        h1 in narrow_events(4),
+        h2 in narrow_events(12),
+    ) {
+        let c = e.compile();
+        let (Some(a), Some(b)) = (machine_after(&c, &h1), machine_after(&c, &h2)) else {
+            return;
+        };
+        if a.is_stateless() {
+            let (mut ka, mut kb) = (Vec::new(), Vec::new());
+            prop_assert!(a.state_key(&mut ka) && b.state_key(&mut kb));
+            prop_assert_eq!(ka, kb, "stateless {} keyed by its history", e);
+        }
     }
 }
 
