@@ -116,9 +116,13 @@ pub mod naive {
     }
 
     /// General (staggered-pair) smoothness check — used by the Theorem 1
-    /// ablation as the baseline against the independent fast path.
+    /// ablation as the baseline against the independent fast path. Both
+    /// re-evaluate each side per prefix, so the ablation compares the
+    /// pairing alone; the production check is the linear walk
+    /// `eqp_core::smooth::smoothness`.
     pub fn smooth_general(desc: &Description, t: &Trace, depth: usize) -> bool {
-        eqp_core::smooth::is_smooth_at_depth(desc, t, depth)
+        eqp_core::smooth::limit_holds(desc, t)
+            && eqp_core::smooth::smoothness_violation(desc, t, depth).is_none()
     }
 }
 

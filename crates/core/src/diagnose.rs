@@ -6,6 +6,7 @@
 //! message a user debugging a description actually needs.
 
 use crate::description::Description;
+use crate::smooth::{smoothness, Smoothness};
 use eqp_trace::{Seq, Trace};
 use std::fmt;
 
@@ -110,34 +111,30 @@ pub fn limit_verdicts(lhs: &[Seq], rhs: &[Seq]) -> Vec<LimitVerdict> {
         .collect()
 }
 
-/// Produces a full report for `t` against `desc`, checking smoothness to
-/// `depth` pairs.
-pub fn diagnose(desc: &Description, t: &Trace, depth: usize) -> SmoothReport {
-    let lhs = desc.eval_lhs(t);
-    let rhs = desc.eval_rhs(t);
-    let limits = limit_verdicts(&lhs, &rhs);
-    let mut violation = None;
-    'outer: for (u, v) in t.pre_pairs_up_to(depth) {
-        let lv = desc.eval_lhs(&v);
-        let ru = desc.eval_rhs(&u);
-        for (k, (l, r)) in lv.iter().zip(&ru).enumerate() {
-            if !l.leq(r) {
-                violation = Some(SmoothnessViolation {
-                    component: k,
-                    u,
-                    v,
-                    lhs_v: l.clone(),
-                    rhs_u: r.clone(),
-                });
-                break 'outer;
-            }
+/// Produces a full report for `t` against `desc`: the limit verdicts from
+/// one evaluation of `t`, and the first smoothness violation from the
+/// linear walk [`smoothness`].
+///
+/// Exact on finite traces and on every lasso the walk decides. The
+/// report's depth is `|t|` for a finite trace; on a lasso it is
+/// `usize::MAX` once smoothness is proved, `|v|` of the witness on a
+/// violation, and the number of pairs checked when the lasso is
+/// [`Smoothness::Unproven`] — then the report holds only to that depth.
+/// A bounded diagnosis is `diagnose(desc, &t.take(depth))`.
+pub fn diagnose(desc: &Description, t: &Trace) -> SmoothReport {
+    let (violation, lasso_depth) = match smoothness(desc, t) {
+        Smoothness::Smooth => (None, usize::MAX),
+        Smoothness::Violation(v) => {
+            let depth = v.v.len().as_finite().expect("a witness pair is finite");
+            (Some(v), depth)
         }
-    }
+        Smoothness::Unproven { events } => (None, events),
+    };
     SmoothReport {
         description: desc.name().to_owned(),
-        limits,
+        limits: limit_verdicts(&desc.eval_lhs(t), &desc.eval_rhs(t)),
         violation,
-        depth,
+        depth: t.len().as_finite().unwrap_or(lasso_depth),
     }
 }
 
@@ -160,7 +157,7 @@ mod tests {
     #[test]
     fn report_on_z_names_the_violation() {
         let z = Trace::finite(vec![Event::int(d(), -1), Event::int(d(), 0)]);
-        let r = diagnose(&sec23(), &z, 8);
+        let r = diagnose(&sec23(), &z);
         assert!(!r.is_smooth());
         let v = r.violation.as_ref().expect("violation");
         assert_eq!(v.component, 1, "the odd-equation fails first");
@@ -174,7 +171,7 @@ mod tests {
     fn report_on_limit_failure() {
         // a prefix of a solution: smooth along the way, limit open.
         let t = Trace::finite(vec![Event::int(d(), 0)]);
-        let r = diagnose(&sec23(), &t, 8);
+        let r = diagnose(&sec23(), &t);
         assert!(!r.is_smooth());
         assert!(r.violation.is_none());
         assert!(r.limits.iter().any(|l| !l.holds));
@@ -188,7 +185,7 @@ mod tests {
         let dfm = Description::new("dfm")
             .equation(even(ch(d())), ch(Chan::new(0)))
             .equation(odd(ch(d())), ch(Chan::new(1)));
-        let r = diagnose(&dfm, &Trace::empty(), 8);
+        let r = diagnose(&dfm, &Trace::empty());
         assert!(r.is_smooth());
         assert!(r.to_string().contains("smoothness: ok"));
     }

@@ -1,11 +1,14 @@
 //! The smooth-solution predicate (Section 3.2.2) and Theorem 1's
 //! simplification for independent descriptions.
 //!
-//! Both conditions are decided exactly on finite traces. On an eventually
-//! periodic (lasso) trace `p·c^ω` the limit condition is exact too —
-//! lassos evaluate to lassos and lasso equality is semantic. The
-//! smoothness condition quantifies over infinitely many `u pre v` pairs.
-//! [`smoothness`] decides it by walking the lasso once:
+//! [`smoothness`] is the one walk behind every smoothness verdict —
+//! [`is_smooth`], [`smoothness_holds`], [`crate::diagnose::diagnose`] and
+//! the conformance bridge. On a finite trace it checks every `u pre v`
+//! pair as it passes it, once. On an eventually periodic (lasso) trace
+//! `p·c^ω` the limit condition is exact too — lassos evaluate to lassos
+//! and lasso equality is semantic — but the smoothness condition
+//! quantifies over infinitely many pairs. [`smoothness`] decides it by
+//! walking the lasso once:
 //!
 //! 1. each component equation's compiled sides step over `p` and then
 //!    round `c`, and every pair is checked as the walk passes it
@@ -48,14 +51,18 @@ pub fn limit_holds(desc: &Description, t: &Trace) -> bool {
 }
 
 /// The smoothness condition `∀ u pre v in t :: f(v) ⊑ g(u)`, checked for
-/// all pairs with `|v| ≤ depth`. Complete for finite traces when
+/// all pairs with `|v| ≤ depth` — exactly the pairs of `t.take(depth)`,
+/// which [`smoothness`] walks once. Complete for finite traces when
 /// `depth ≥ |t|`.
 pub fn smoothness_holds(desc: &Description, t: &Trace, depth: usize) -> bool {
-    smoothness_violation(desc, t, depth).is_none()
+    smoothness(desc, &t.take(depth)) == Smoothness::Smooth
 }
 
 /// Finds the first smoothness violation `(u, v)` with `|v| ≤ depth`, or
-/// `None`.
+/// `None`, by re-evaluating both sides at every pair — quadratic in
+/// `depth`. No library verdict path calls it: it is the reference oracle
+/// that the property tests (`tests/props.rs`, `tests/lasso_exact.rs`)
+/// hold [`smoothness`] to, and the Theorem 1 ablation's baseline.
 pub fn smoothness_violation(desc: &Description, t: &Trace, depth: usize) -> Option<(Trace, Trace)> {
     t.pre_pairs_up_to(depth)
         .find(|(u, v)| !tuple_leq(&desc.eval_lhs(v), &desc.eval_rhs(u)))
@@ -90,14 +97,11 @@ pub fn is_smooth_at_depth(desc: &Description, t: &Trace, depth: usize) -> bool {
     limit_holds(desc, t) && smoothness_holds(desc, t, depth)
 }
 
-/// Smooth-solution check: exact on finite traces (every pair), and on
-/// lassos `true` only when the limit holds and [`smoothness`] proves the
-/// smoothness condition — an [`Smoothness::Unproven`] lasso is `false`.
+/// Smooth-solution check: the limit holds and [`smoothness`] proves the
+/// smoothness condition — exact on finite traces, and an
+/// [`Smoothness::Unproven`] lasso is `false`.
 pub fn is_smooth(desc: &Description, t: &Trace) -> bool {
-    match t.len() {
-        Length::Finite(n) => is_smooth_at_depth(desc, t, n),
-        Length::Infinite => limit_holds(desc, t) && smoothness(desc, t) == Smoothness::Smooth,
-    }
+    limit_holds(desc, t) && smoothness(desc, t) == Smoothness::Smooth
 }
 
 /// **Theorem 1** check for *independent* descriptions: `t` is smooth iff

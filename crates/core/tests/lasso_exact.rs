@@ -1,5 +1,5 @@
-//! The exact lasso smoothness decision against a deep explicit-depth
-//! oracle.
+//! The exact smoothness decision, on lassos and finite traces, against a
+//! deep explicit-depth oracle.
 //!
 //! [`smoothness`] walks a lasso once and stops when every equation's keyed
 //! state repeats at a cycle boundary. These properties pit it against
@@ -11,12 +11,15 @@
 //!   the skip counts, `Concat` front lengths and `EmitFirstAfter::need`
 //!   thresholds the old size-scaled depth left out;
 //! * a `Violation` is the first pair the oracle finds, with the same
-//!   component and side values.
+//!   component and side values;
+//! * on a finite trace the verdict matches the oracle at `|t|`, and
+//!   `diagnose` reports the same witness.
 //!
 //! The generated sides carry those constants up to 64. A last test pins
 //! the verdict of every lasso the `denotational` benchmark certifies.
 
 use eqp_core::description::Description;
+use eqp_core::diagnose::diagnose;
 use eqp_core::smooth::{is_smooth, limit_holds, smoothness, smoothness_violation, Smoothness};
 use eqp_processes::{dfm, fair_random, finite_ticks, ticks};
 use eqp_seqfn::paper::{ch, count_ticks, until_first_false};
@@ -181,6 +184,44 @@ proptest! {
                     smoothness_violation(&desc, &t, events.min(256)).is_none(),
                     "unproven past a violation on {}", t
                 );
+            }
+        }
+    }
+
+    /// On a finite trace the same walk is exact at every pair: `Smooth`
+    /// iff the oracle finds nothing at `|t|`, and a `Violation` is its
+    /// first pair with the first failing component and both values —
+    /// which is what [`diagnose`] reports, at depth `|t|`.
+    #[test]
+    fn finite_verdict_matches_the_pair_oracle(
+        desc in arb_description(),
+        events in proptest::collection::vec(arb_event(), 0..80),
+    ) {
+        let t = Trace::finite(events);
+        let n = t.len().as_finite().expect("finite");
+        let oracle = smoothness_violation(&desc, &t, n);
+        let report = diagnose(&desc, &t);
+        prop_assert_eq!(report.depth, n);
+        match smoothness(&desc, &t) {
+            Smoothness::Smooth => {
+                prop_assert_eq!(oracle, None, "proved smooth but violated on {}", t);
+                prop_assert_eq!(report.violation, None);
+            }
+            Smoothness::Violation(w) => {
+                prop_assert_eq!(
+                    oracle,
+                    Some((w.u.clone(), w.v.clone())),
+                    "not the first violation on {}", t
+                );
+                let (lhs, rhs) = (desc.eval_lhs(&w.v), desc.eval_rhs(&w.u));
+                let first = (0..desc.arity()).find(|&k| !lhs[k].leq(&rhs[k]));
+                prop_assert_eq!(first, Some(w.component));
+                prop_assert_eq!(&w.lhs_v, &lhs[w.component]);
+                prop_assert_eq!(&w.rhs_u, &rhs[w.component]);
+                prop_assert_eq!(report.violation, Some(w));
+            }
+            Smoothness::Unproven { events } => {
+                prop_assert!(false, "a finite trace is never unproven ({} events)", events);
             }
         }
     }

@@ -4,6 +4,7 @@
 
 use eqp_core::compose::{sublemma_agrees, Component};
 use eqp_core::description::{Alphabet, Description, System};
+use eqp_core::diagnose::{diagnose, limit_verdicts, SmoothnessViolation};
 use eqp_core::smooth::{
     is_smooth, is_smooth_at_depth, is_smooth_independent, lemma2_consequent, limit_holds,
     smoothness, smoothness_holds, smoothness_violation, Smoothness,
@@ -38,24 +39,62 @@ fn arb_finite_trace() -> impl Strategy<Value = Trace> {
     proptest::collection::vec(arb_event(), 0..8).prop_map(Trace::finite)
 }
 
-/// The exact lasso decision against explicit-depth search out to four
-/// times the old size-scaled heuristic depth: a proof finds nothing there,
-/// and a violation is the first one, none is left unproven.
+/// The exact decision against explicit-depth search out to four times the
+/// old size-scaled heuristic depth (on a finite trace, four times its
+/// length): a proof finds nothing there, and a violation is the first one,
+/// none is left unproven. [`diagnose`]'s report carries the same witness,
+/// field for field, as one built from the pair oracle; its depth is `|t|`
+/// on a finite trace, and on a lasso `|v|` of the witness or `usize::MAX`
+/// for a proof.
 fn assert_exact_against_deep(desc: &Description, t: &Trace) {
     let size: usize = desc.lhs().iter().chain(desc.rhs()).map(SeqExpr::size).sum();
     let (p, c) = (t.as_lasso().prefix().len(), t.as_lasso().cycle().len());
     let deep = 4 * (p + c * (8 + 2 * size));
-    match smoothness(desc, t) {
-        Smoothness::Smooth => assert_eq!(smoothness_violation(desc, t, deep), None, "on {t}"),
-        Smoothness::Violation(w) => {
-            assert_eq!(
-                smoothness_violation(desc, t, deep),
-                Some((w.u, w.v)),
-                "on {t}"
-            )
+    let oracle = smoothness_violation(desc, t, deep).map(|(u, v)| {
+        let (lhs, rhs) = (desc.eval_lhs(&v), desc.eval_rhs(&u));
+        let k = (0..desc.arity())
+            .find(|&k| !lhs[k].leq(&rhs[k]))
+            .expect("the oracle's pair fails in some component");
+        SmoothnessViolation {
+            component: k,
+            u,
+            v,
+            lhs_v: lhs[k].clone(),
+            rhs_u: rhs[k].clone(),
         }
+    });
+    match smoothness(desc, t) {
+        Smoothness::Smooth => assert_eq!(oracle, None, "on {t}"),
+        Smoothness::Violation(w) => assert_eq!(oracle.as_ref(), Some(&w), "on {t}"),
         Smoothness::Unproven { events } => panic!("unproven after {events} events on {t}"),
     }
+    let report = diagnose(desc, t);
+    assert_eq!(report.violation, oracle, "diagnose on {t}");
+    assert_eq!(
+        report.limits,
+        limit_verdicts(&desc.eval_lhs(t), &desc.eval_rhs(t)),
+        "diagnose limits on {t}"
+    );
+    let depth = match (t.len().as_finite(), &oracle) {
+        (Some(n), _) => n,
+        (None, Some(w)) => w.v.len().as_finite().expect("a witness is finite"),
+        (None, None) => usize::MAX,
+    };
+    assert_eq!(report.depth, depth, "diagnose depth on {t}");
+}
+
+/// The Section 2.3 network description: its sides read the channel they
+/// constrain, so `f(v) ⊑ g(u)` is a genuinely staggered check.
+fn net23() -> Description {
+    Description::new("net23")
+        .equation(even(ch(d())), prepend_int(0, twice(ch(d()))))
+        .equation(odd(ch(d())), SeqExpr::affine(2, 1, ch(d())))
+}
+
+/// A random lasso over `b`, `c`, `d`.
+fn arb_lasso() -> impl Strategy<Value = Trace> {
+    let events = |n| proptest::collection::vec(arb_event(), n);
+    (events(0..4), events(1..4)).prop_map(|(p, c)| Trace::lasso(p, c))
 }
 
 proptest! {
@@ -209,14 +248,11 @@ proptest! {
         prefix in proptest::collection::vec(-2i64..4, 0..4),
         cycle in proptest::collection::vec(-2i64..4, 1..4),
     ) {
-        let desc = Description::new("net23")
-            .equation(even(ch(d())), prepend_int(0, twice(ch(d()))))
-            .equation(odd(ch(d())), SeqExpr::affine(2, 1, ch(d())));
         let t = Trace::lasso(
             prefix.iter().map(|&n| Event::int(d(), n)).collect::<Vec<_>>(),
             cycle.iter().map(|&n| Event::int(d(), n)).collect::<Vec<_>>(),
         );
-        assert_exact_against_deep(&desc, &t);
+        assert_exact_against_deep(&net23(), &t);
     }
 
     /// The same lasso certification for the dfm description over random
@@ -236,15 +272,42 @@ proptest! {
         assert_exact_against_deep(&desc, &t);
     }
 
-    /// is_smooth_at_depth is monotone in depth: failing shallow ⇒ failing
-    /// deep; passing deep ⇒ passing shallow.
+    /// The one walk decides finite traces exactly too: on random finite
+    /// traces over dfm and the staggered net23 its verdict, witness and
+    /// `diagnose` report match the pair oracle.
     #[test]
-    fn smooth_depth_monotone(t in arb_finite_trace(), d1 in 0usize..6, d2 in 6usize..16) {
-        let desc = Description::new("net23")
-            .equation(even(ch(d())), prepend_int(0, twice(ch(d()))))
-            .equation(odd(ch(d())), SeqExpr::affine(2, 1, ch(d())));
+    fn finite_traces_exact_against_the_pair_oracle(t in arb_finite_trace()) {
+        assert_exact_against_deep(&dfm(), &t);
+        assert_exact_against_deep(&net23(), &t);
+    }
+
+    /// is_smooth_at_depth is monotone in depth: failing shallow ⇒ failing
+    /// deep; passing deep ⇒ passing shallow. At every depth up to one past
+    /// the trace (past a lasso's second round), the walk over `t.take(d)`
+    /// agrees with the pair oracle at `d`.
+    #[test]
+    fn smooth_depth_monotone(
+        t in arb_finite_trace(),
+        lasso in arb_lasso(),
+        d1 in 0usize..6,
+        d2 in 6usize..16,
+    ) {
+        let desc = net23();
         if is_smooth_at_depth(&desc, &t, d2) {
             prop_assert!(is_smooth_at_depth(&desc, &t, d1));
+        }
+        let n = t.len().as_finite().expect("finite");
+        let (p, c) = (lasso.as_lasso().prefix().len(), lasso.as_lasso().cycle().len());
+        for desc in [dfm(), desc] {
+            for (t, max) in [(&t, n + 1), (&lasso, p + 2 * c + 1)] {
+                for d in 0..=max {
+                    prop_assert_eq!(
+                        smoothness_holds(&desc, t, d),
+                        smoothness_violation(&desc, t, d).is_none(),
+                        "depth {} on {}", d, t
+                    );
+                }
+            }
         }
     }
 }

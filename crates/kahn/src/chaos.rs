@@ -365,9 +365,10 @@ pub struct ShrinkResult {
 /// the locally minimal schedule. A convicting drop-fault schedule
 /// typically shrinks to the single dropped-message injection.
 ///
-/// This is the post-hoc reference path (full run + O(n²) trace re-walk
-/// per candidate); [`shrink_report`] finds the same minimal schedule with
-/// early-abort monitored candidates and reports the cost saved.
+/// This is the post-hoc reference path (a full run to the step bound, then
+/// one linear walk of its trace, per candidate); [`shrink_report`] finds
+/// the same minimal schedule with early-abort monitored candidates and
+/// reports the cost saved.
 pub fn shrink(scenario: &Scenario, trial: &Trial, sup: SupervisorOptions) -> FaultSchedule {
     let mut current = trial.schedule.clone();
     loop {

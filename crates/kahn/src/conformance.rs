@@ -6,7 +6,9 @@
 //! one. This module makes that claim executable: feed any run result and
 //! the network's [`Description`] to [`check`], and the trace is projected
 //! onto the description's channels and pushed through
-//! [`eqp_core::diagnose`]:
+//! [`eqp_core::diagnose`], which decides smoothness in one linear walk
+//! over the trace ([`eqp_core::smooth::smoothness`]: each `u pre v` pair
+//! is checked as the walk passes it, amortized O(1) per event):
 //!
 //! * a **quiescent** run must satisfy both the smoothness condition
 //!   (every step's output justified by prior input: `f(v) ⊑ g(u)` for
@@ -20,10 +22,8 @@
 
 use crate::network::RunResult;
 use crate::report::RunReport;
-use eqp_core::diagnose::{diagnose, limit_verdicts, SmoothReport};
-use eqp_core::smooth::{smoothness, Smoothness};
+use eqp_core::diagnose::{diagnose, SmoothReport};
 use eqp_core::Description;
-use eqp_trace::lasso::Length;
 use eqp_trace::{ChanSet, Trace};
 use std::fmt;
 
@@ -209,9 +209,12 @@ pub(crate) fn render_equations(desc: &Description) -> Vec<String> {
 /// Checks a raw trace (with its quiescence flag) against a description.
 ///
 /// The trace is projected onto `opts.visible` (default: the
-/// description's channels), smoothness is checked through every prefix
-/// pair of the finite projection, and — for quiescent runs — the limit
-/// condition is evaluated.
+/// description's channels) and diagnosed in one linear walk
+/// ([`diagnose`]): smoothness through every prefix pair — on a lasso,
+/// until a repeated state proves the rest — and, for quiescent runs, the
+/// limit condition. An unproven lasso is at best a
+/// [`Verdict::SmoothPrefix`], never a solution; a failing limit at
+/// quiescence still convicts.
 ///
 /// Fast path: when no explicit `visible` set is given and every channel
 /// the trace carries is already one of the description's, the projection
@@ -229,22 +232,14 @@ pub fn check_trace(
         Some(trace.project(&keep))
     };
     let t = projected.as_ref().unwrap_or(trace);
-    let depth = match t.len() {
-        Length::Finite(n) => n,
-        Length::Infinite => {
-            let (report, verdict) = lasso_report(desc, t, quiescent);
-            return Conformance {
-                description: desc.name().to_owned(),
-                verdict,
-                report,
-                quiescent,
-                checked: projected.unwrap_or_else(|| trace.clone()),
-                equations: render_equations(desc),
-            };
+    let report = diagnose(desc, t);
+    let verdict = match verdict_from_report(&report, quiescent) {
+        // a lasso whose smoothness is not proved is at most a prefix
+        Verdict::SmoothSolution if t.is_infinite() && report.depth != usize::MAX => {
+            Verdict::SmoothPrefix
         }
+        verdict => verdict,
     };
-    let report = diagnose(desc, t, depth);
-    let verdict = verdict_from_report(&report, quiescent);
     Conformance {
         description: desc.name().to_owned(),
         verdict,
@@ -253,33 +248,6 @@ pub fn check_trace(
         checked: projected.unwrap_or_else(|| trace.clone()),
         equations: render_equations(desc),
     }
-}
-
-/// The report and verdict for a lasso trace, from the exact
-/// [`smoothness`] decision. The report's depth is the number of pairs
-/// checked, `usize::MAX` once smoothness is proved. An unproven lasso is
-/// at best a [`Verdict::SmoothPrefix`], never a solution; a failing limit
-/// at quiescence still convicts.
-fn lasso_report(desc: &Description, t: &Trace, quiescent: bool) -> (SmoothReport, Verdict) {
-    let (violation, depth, proved) = match smoothness(desc, t) {
-        Smoothness::Smooth => (None, usize::MAX, true),
-        Smoothness::Violation(v) => {
-            let depth = v.v.len().as_finite().expect("a witness pair is finite");
-            (Some(v), depth, true)
-        }
-        Smoothness::Unproven { events } => (None, events, false),
-    };
-    let report = SmoothReport {
-        description: desc.name().to_owned(),
-        limits: limit_verdicts(&desc.eval_lhs(t), &desc.eval_rhs(t)),
-        violation,
-        depth,
-    };
-    let verdict = match verdict_from_report(&report, quiescent) {
-        Verdict::SmoothSolution if !proved => Verdict::SmoothPrefix,
-        verdict => verdict,
-    };
-    (report, verdict)
 }
 
 /// Checks a [`RunResult`] against a description.

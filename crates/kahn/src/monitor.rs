@@ -1,9 +1,8 @@
 //! Online incremental conformance monitoring: amortized O(1) per-event
 //! certification of the smoothness condition.
 //!
-//! The post-hoc bridge in [`crate::conformance`] re-walks every one-step
-//! prefix pair of the *final* trace and fully re-evaluates `f(v)`/`g(u)`
-//! each time — O(n²) in trace length. But the smoothness condition
+//! The post-hoc bridge in [`crate::conformance`] checks the *final* trace
+//! in one linear walk once the run is over. But the smoothness condition
 //! `∀ u pre v :: f(v) ⊑ g(u)` is exactly a per-step invariant: each new
 //! event extends `u` to `v` by one, so a monitor that keeps *resumable*
 //! evaluator states for both sides of every component equation
@@ -19,7 +18,8 @@
 //! the per-event and the batch paths cost O(readers), not O(equations),
 //! per event. The limit condition
 //! `f(t) = g(t)` is certified once at quiescence from the final states,
-//! so no prefix is ever re-walked.
+//! so the trace is never walked a second time — and a violating run can
+//! stop at the offending event.
 //!
 //! Sides without an incremental hook (infinite constants, hookless
 //! `Custom` functions) transparently fall back to full re-evaluation per
@@ -28,7 +28,8 @@
 //!
 //! The monitor produces the *same* [`SmoothReport`] / [`Conformance`] /
 //! [`Verdict`] as the post-hoc path: violations are recorded in the same
-//! `(u, v)`-pair-then-component order as [`eqp_core::diagnose`], and the
+//! `(u, v)`-pair-then-component order as the post-hoc walk
+//! ([`eqp_core::diagnose`], through `eqp_core::smooth::smoothness`), and the
 //! final verdict is derived by the same shared function
 //! (`conformance::verdict_from_report`). The differential suite
 //! `tests/monitor_equivalence.rs` pins this equivalence across the whole
@@ -500,8 +501,8 @@ impl SmoothnessMonitor {
     /// verdicts straight from the final evaluator states (no re-walk),
     /// the first smoothness violation if any, and the checked depth.
     ///
-    /// Identical to `diagnose(desc, &observed_trace, observed_len)` — the
-    /// differential suite pins this.
+    /// Identical to `diagnose(desc, &observed_trace)` on the finite trace
+    /// observed so far — the differential suite pins this.
     pub fn report(&self) -> SmoothReport {
         // Build each verdict straight from the evaluator pair — the final
         // values move into the verdict instead of being cloned through an

@@ -44,7 +44,7 @@ fn main() {
         eqp::trace::Event::int(bag::C, 1),
         eqp::trace::Event::int(bag::D, 9),
     ]);
-    let report = diagnose(&bag::specification(0, 9), &bad, 8);
+    let report = diagnose(&bag::specification(0, 9), &bad);
     print!("{report}");
     assert!(!report.is_smooth());
 }

@@ -8,7 +8,10 @@
 //! description, bounded runs smooth *prefixes*; drop/duplicate faults
 //! corrupt the history and must fail the check.
 
-use eqp::kahn::conformance::{check_report, ConformanceOptions, Verdict};
+use eqp::core::diagnose::{limit_verdicts, SmoothReport, SmoothnessViolation};
+use eqp::core::smooth::smoothness_violation;
+use eqp::core::Description;
+use eqp::kahn::conformance::{check_report, check_trace, ConformanceOptions, Verdict};
 use eqp::kahn::faults::{CrashAt, Fault, FaultKind, FaultSchedule, FaultyLink, LinkFaultSpec};
 use eqp::kahn::{
     procs, Adversarial, Network, Oracle, RandomSched, ReliableConfig, RoundRobin, RunOptions,
@@ -17,7 +20,7 @@ use eqp::kahn::{
 use eqp::processes::zoo::conformance_zoo;
 use eqp::processes::{bag, dfm};
 use eqp::seqfn::paper::{ch, twice};
-use eqp::trace::{Chan, Value};
+use eqp::trace::{Chan, Trace, Value};
 
 fn schedulers(seed: u64) -> Vec<Box<dyn Scheduler>> {
     vec![
@@ -503,5 +506,78 @@ fn process_level_arq_reports_retransmissions_under_drop() {
             .any(|r| r.source == link && r.event.kind == FaultKind::Dropped),
         "the lossy medium's drops are logged: {:?}",
         report.fault_log()
+    );
+}
+
+/// The report the pair oracle gives for a finite trace: the limit
+/// verdicts, and the first `u pre v` pair at which some component's
+/// `f(v) ⋢ g(u)`, found by re-evaluating both sides at every pair.
+fn oracle_report(desc: &Description, t: &Trace) -> SmoothReport {
+    let n = t.len().as_finite().expect("run traces are finite");
+    let violation = smoothness_violation(desc, t, n).map(|(u, v)| {
+        let (lhs, rhs) = (desc.eval_lhs(&v), desc.eval_rhs(&u));
+        let k = (0..desc.arity())
+            .find(|&k| !lhs[k].leq(&rhs[k]))
+            .expect("the oracle's pair fails in some component");
+        SmoothnessViolation {
+            component: k,
+            u,
+            v,
+            lhs_v: lhs[k].clone(),
+            rhs_u: rhs[k].clone(),
+        }
+    });
+    SmoothReport {
+        description: desc.name().to_owned(),
+        limits: limit_verdicts(&desc.eval_lhs(t), &desc.eval_rhs(t)),
+        violation,
+        depth: n,
+    }
+}
+
+/// `t` with one event swapped with its successor, dropped or duplicated,
+/// chosen by `seed`; `None` when `t` is too short for the edit.
+fn mutated(t: &Trace, seed: u64) -> Option<Trace> {
+    let mut events = t.events().expect("run traces are finite").to_vec();
+    let at = (seed as usize).wrapping_mul(7) % events.len().max(1);
+    match seed % 3 {
+        0 if at + 1 < events.len() => events.swap(at, at + 1),
+        1 if !events.is_empty() => drop(events.remove(at)),
+        2 if !events.is_empty() => events.insert(at, events[at]),
+        _ => return None,
+    }
+    Some(Trace::finite(events))
+}
+
+#[test]
+fn zoo_witnesses_match_the_pair_oracle() {
+    // Post-hoc `check_trace` decides smoothness in one linear walk; on
+    // every zoo run, and on one corrupted copy of each, its report must
+    // be the one the quadratic pair oracle builds, witness and all.
+    let opts = ConformanceOptions::default();
+    let (mut violations, mut smooth) = (0usize, 0usize);
+    for entry in conformance_zoo() {
+        let desc = entry.description();
+        for seed in 0..8u64 {
+            let (report, clean) = entry.certify(&mut RoundRobin::new(), seed);
+            let runs = [Some(clean.checked.clone()), mutated(&clean.checked, seed)];
+            for t in runs.iter().flatten() {
+                let conf = check_trace(&desc, t, report.quiescent, &opts);
+                assert_eq!(
+                    conf.report,
+                    oracle_report(&desc, t),
+                    "{} (seed {seed}) on {t}",
+                    entry.name
+                );
+                match conf.report.violation {
+                    Some(_) => violations += 1,
+                    None => smooth += 1,
+                }
+            }
+        }
+    }
+    assert!(
+        violations > 0 && smooth > 0,
+        "the regression must see both outcomes: {violations} violations, {smooth} smooth"
     );
 }

@@ -13,7 +13,7 @@ use eqp::trace::{Event, Trace, Value};
 #[test]
 fn brock_ackermann_diagnosis_is_precise() {
     let desc = ba::eliminated_description();
-    let report = diagnose(&desc, &ba::anomalous_trace(), 8);
+    let report = diagnose(&desc, &ba::anomalous_trace());
     assert!(!report.is_smooth());
     // the limit holds for both components (it IS a solution)…
     assert!(report.limits.iter().all(|l| l.holds));
@@ -29,7 +29,7 @@ fn brock_ackermann_diagnosis_is_precise() {
 /// The genuine solution's diagnosis is entirely clean.
 #[test]
 fn genuine_solution_diagnosis_clean() {
-    let report = diagnose(&ba::eliminated_description(), &ba::genuine_trace(), 8);
+    let report = diagnose(&ba::eliminated_description(), &ba::genuine_trace());
     assert!(report.is_smooth());
     assert!(report.to_string().contains("smoothness: ok"));
 }
