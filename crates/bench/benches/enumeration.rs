@@ -1,12 +1,13 @@
 //! E13 — the enumeration engine shootout: seed BFS ([`enumerate`]) vs the
-//! prefix-sharing incremental engine, sequential ([`enumerate_memo`]) and
-//! parallel ([`enumerate_par`]), over the Fig. 1–7 process zoo.
+//! quotiented engine ([`enumerate_memo`]: prefix-sharing, incremental,
+//! one visit per distinct per-channel history), over the Fig. 1–7 process
+//! zoo. Fig. 2 runs at two depths: the quotient matters most where the
+//! tree grows fastest.
 //!
 //! Besides the usual criterion output this target emits a machine-readable
 //! `BENCH_enumeration.json` at the repository root with a host block
-//! (cores, `par` worker count, commit), nodes/sec per engine and each
-//! engine's speedup over the seed, so EXPERIMENTS.md can cite
-//! reproducible numbers. Before timing anything, every engine's
+//! (cores, commit), nodes/sec per engine and each engine's speedup over
+//! the seed, so EXPERIMENTS.md can cite reproducible numbers. Before timing anything, every engine's
 //! result is asserted identical to the seed's on every workload — a bench
 //! of a wrong engine is worthless. Under `EQP_BENCH_SMOKE=1` those
 //! equality gates still run but each timing body executes once and no
@@ -14,7 +15,7 @@
 
 use criterion::Criterion;
 use eqp_core::description::Alphabet;
-use eqp_core::{enumerate, enumerate_memo, enumerate_par, Description, EnumOptions, Enumeration};
+use eqp_core::{enumerate, enumerate_memo, Description, EnumOptions, Enumeration};
 use eqp_processes::{brock_ackermann as ba, dfm, fork, implication, ticks};
 use std::hint::black_box;
 
@@ -23,6 +24,22 @@ struct Workload {
     desc: Description,
     alpha: Alphabet,
     opts: EnumOptions,
+}
+
+/// Fig. 2's discriminated fair merge at `max_depth`.
+fn fig2(name: &'static str, max_depth: usize) -> Workload {
+    Workload {
+        name,
+        desc: dfm::dfm_description(),
+        alpha: Alphabet::new()
+            .with_chan(dfm::B, [eqp_trace::Value::Int(0), eqp_trace::Value::Int(2)])
+            .with_chan(dfm::C, [eqp_trace::Value::Int(1)])
+            .with_ints(dfm::D, 0, 2),
+        opts: EnumOptions {
+            max_depth,
+            max_nodes: 500_000,
+        },
+    }
 }
 
 fn workloads() -> Vec<Workload> {
@@ -61,18 +78,9 @@ fn workloads() -> Vec<Workload> {
                 max_nodes: 500_000,
             },
         },
-        Workload {
-            name: "fig2-dfm",
-            desc: dfm::dfm_description(),
-            alpha: Alphabet::new()
-                .with_chan(dfm::B, [eqp_trace::Value::Int(0), eqp_trace::Value::Int(2)])
-                .with_chan(dfm::C, [eqp_trace::Value::Int(1)])
-                .with_ints(dfm::D, 0, 2),
-            opts: EnumOptions {
-                max_depth: 5,
-                max_nodes: 500_000,
-            },
-        },
+        fig2("fig2-dfm", 5),
+        // 117,086 tree nodes on 2,645 distinct per-channel histories.
+        fig2("fig2-dfm-d8", 8),
         Workload {
             // Branching factor 1, depth 64: isolates the per-node O(depth)
             // replay cost the incremental engine removes.
@@ -119,7 +127,7 @@ fn commit() -> String {
 }
 
 fn main() {
-    let par_threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let nproc = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let mut c = Criterion::default().configure_from_args();
     let mut rows: Vec<(String, usize, usize, Vec<EngineRow>)> = Vec::new();
 
@@ -132,12 +140,6 @@ fn main() {
             &enumerate_memo(&w.desc, &w.alpha, w.opts),
             &seed,
         );
-        assert_identical(
-            w.name,
-            "par",
-            &enumerate_par(&w.desc, &w.alpha, w.opts, par_threads),
-            &seed,
-        );
 
         let mut g = c.benchmark_group(format!("enumeration/{}", w.name));
         g.sample_size(10);
@@ -146,11 +148,6 @@ fn main() {
         });
         g.bench_function("memo", |b| {
             b.iter(|| black_box(enumerate_memo(&w.desc, &w.alpha, w.opts).nodes_visited))
-        });
-        g.bench_function("par", |b| {
-            b.iter(|| {
-                black_box(enumerate_par(&w.desc, &w.alpha, w.opts, par_threads).nodes_visited)
-            })
         });
         g.finish();
 
@@ -163,7 +160,7 @@ fn main() {
                 .expect("bench result present")
         };
         let seed_ns = median("seed");
-        let engines = ["seed", "memo", "par"]
+        let engines = ["seed", "memo"]
             .into_iter()
             .map(|engine| {
                 let ns = median(engine);
@@ -192,8 +189,7 @@ fn main() {
     json.push_str("  \"bench\": \"enumeration\",\n");
     json.push_str("  \"command\": \"cargo bench -p eqp-bench --bench enumeration\",\n");
     json.push_str(&format!(
-        "  \"host\": {{\"nproc\": {par_threads}, \"par_threads\": {par_threads}, \
-         \"commit\": \"{}\"}},\n",
+        "  \"host\": {{\"nproc\": {nproc}, \"commit\": \"{}\"}},\n",
         commit()
     ));
     json.push_str("  \"workloads\": [\n");

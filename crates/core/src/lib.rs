@@ -25,9 +25,10 @@
 //! * [`mod@enumerate`] — the operational tree of Section 3.3: breadth-first
 //!   enumeration of all bounded computations/smooth solutions over a
 //!   message alphabet. [`engine`] computes the same tree faster
-//!   ([`enumerate_memo`], [`enumerate_par`]) by stepping each side on the
-//!   compiled incremental machine ([`eqp_seqfn::CompiledDeltaState`]);
-//!   the seed [`enumerate()`] stays the reference it is tested against.
+//!   ([`enumerate_memo`]) by stepping each side on the compiled
+//!   incremental machine ([`eqp_seqfn::CompiledDeltaState`]) once per
+//!   distinct per-channel history; the seed [`enumerate()`] stays the
+//!   reference it is tested against.
 //! * [`mod@compose`] — **Theorem 2**: pairing component descriptions describes
 //!   the network.
 //! * [`fixpoint`] — **Theorem 4**: over any cpo, the unique smooth solution
@@ -81,7 +82,7 @@ pub mod tree;
 pub use compose::compose;
 pub use description::{Alphabet, Description, System};
 pub use eliminate::{eliminate, reconstruct_witness, ElimError};
-pub use engine::{enumerate_memo, enumerate_par};
+pub use engine::enumerate_memo;
 pub use enumerate::{enumerate, EnumOptions, Enumeration};
 pub use kahn_eqs::{KahnSystem, SolveOptions};
 pub use smooth::{is_smooth, is_smooth_at_depth, limit_holds, smoothness_holds};

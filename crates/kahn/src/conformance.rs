@@ -22,7 +22,7 @@
 
 use crate::network::RunResult;
 use crate::report::RunReport;
-use eqp_core::diagnose::{diagnose, SmoothReport};
+use eqp_core::diagnose::{diagnose, Outcome, SmoothReport};
 use eqp_core::Description;
 use eqp_trace::{ChanSet, Trace};
 use std::fmt;
@@ -235,7 +235,7 @@ pub fn check_trace(
     let report = diagnose(desc, t);
     let verdict = match verdict_from_report(&report, quiescent) {
         // a lasso whose smoothness is not proved is at most a prefix
-        Verdict::SmoothSolution if t.is_infinite() && report.depth != usize::MAX => {
+        Verdict::SmoothSolution if matches!(report.outcome, Outcome::Unproven { .. }) => {
             Verdict::SmoothPrefix
         }
         verdict => verdict,

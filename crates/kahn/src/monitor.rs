@@ -37,7 +37,7 @@
 
 use crate::conformance::{verdict_from_report, Conformance, Verdict};
 use crate::report::RunStatus;
-use eqp_core::diagnose::{LimitVerdict, SmoothReport, SmoothnessViolation};
+use eqp_core::diagnose::{LimitVerdict, Outcome, SmoothReport, SmoothnessViolation};
 use eqp_core::Description;
 use eqp_seqfn::compile::{batch_advance, step_check};
 use eqp_seqfn::{CompiledExpr, CompiledSideEval};
@@ -526,6 +526,11 @@ impl SmoothnessMonitor {
             description: self.name.clone(),
             limits,
             violation: self.violation.clone(),
+            outcome: if self.violation.is_some() {
+                Outcome::Violated
+            } else {
+                Outcome::Proved
+            },
             depth: self.events.len(),
         }
     }

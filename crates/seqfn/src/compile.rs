@@ -332,6 +332,14 @@ impl CompiledExpr {
         self.prog.reads(c)
     }
 
+    /// True iff the program reads a trace only through its per-channel
+    /// sequences: every custom function it calls has at most one channel
+    /// in its support. Two traces with the same sequence on every channel
+    /// then evaluate equally, however their events interleave.
+    pub fn per_channel(&self) -> bool {
+        self.prog.customs.iter().all(|f| f.channels().len() <= 1)
+    }
+
     /// Instruction count after fusion/folding/DCE.
     pub fn inst_count(&self) -> usize {
         self.prog.insts.len()

@@ -8,7 +8,7 @@
 //! description, bounded runs smooth *prefixes*; drop/duplicate faults
 //! corrupt the history and must fail the check.
 
-use eqp::core::diagnose::{limit_verdicts, SmoothReport, SmoothnessViolation};
+use eqp::core::diagnose::{limit_verdicts, Outcome, SmoothReport, SmoothnessViolation};
 use eqp::core::smooth::smoothness_violation;
 use eqp::core::Description;
 use eqp::kahn::conformance::{check_report, check_trace, ConformanceOptions, Verdict};
@@ -530,6 +530,11 @@ fn oracle_report(desc: &Description, t: &Trace) -> SmoothReport {
     SmoothReport {
         description: desc.name().to_owned(),
         limits: limit_verdicts(&desc.eval_lhs(t), &desc.eval_rhs(t)),
+        outcome: if violation.is_some() {
+            Outcome::Violated
+        } else {
+            Outcome::Proved
+        },
         violation,
         depth: n,
     }
