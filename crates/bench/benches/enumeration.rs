@@ -113,21 +113,7 @@ struct EngineRow {
     speedup_vs_seed: f64,
 }
 
-/// The measured checkout (`<sha>-dirty` for uncommitted edits), or
-/// `none` outside a git work tree.
-fn commit() -> String {
-    std::process::Command::new("git")
-        .args(["describe", "--always", "--dirty", "--abbrev=40"])
-        .current_dir(env!("CARGO_MANIFEST_DIR"))
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map_or_else(|| "none".to_owned(), |s| s.trim().to_owned())
-}
-
 fn main() {
-    let nproc = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let mut c = Criterion::default().configure_from_args();
     let mut rows: Vec<(String, usize, usize, Vec<EngineRow>)> = Vec::new();
 
@@ -188,10 +174,7 @@ fn main() {
     json.push_str("{\n");
     json.push_str("  \"bench\": \"enumeration\",\n");
     json.push_str("  \"command\": \"cargo bench -p eqp-bench --bench enumeration\",\n");
-    json.push_str(&format!(
-        "  \"host\": {{\"nproc\": {nproc}, \"commit\": \"{}\"}},\n",
-        commit()
-    ));
+    json.push_str(&format!("  \"host\": {},\n", eqp_bench::host_json()));
     json.push_str("  \"workloads\": [\n");
     for (wi, (name, depth, nodes, engines)) in rows.iter().enumerate() {
         json.push_str("    {\n");

@@ -28,7 +28,7 @@
 //!   decoder on a ≥1MB image, asserted byte-identical and gated >1×).
 //!
 //! Results are emitted to `BENCH_runtime.json` at the repository root,
-//! including the computed checkpoint-capture and ARQ overhead ratios, the
+//! with a host block (cores, commit) and the computed checkpoint-capture and ARQ overhead ratios, the
 //! compiled monitor overhead (gate ≤1.25×), and the IR stats line. Under
 //! `EQP_BENCH_SMOKE=1` every body runs once: the fusion gates still
 //! assert, the timing gates and JSON emission are skipped.
@@ -746,6 +746,7 @@ fn main() {
     json.push_str("{\n");
     json.push_str("  \"bench\": \"runtime\",\n");
     json.push_str("  \"command\": \"cargo bench -p eqp-bench --bench runtime\",\n");
+    json.push_str(&format!("  \"host\": {},\n", eqp_bench::host_json()));
     json.push_str(&format!(
         "  \"checkpoint_capture_overhead\": {overhead:.4},\n"
     ));

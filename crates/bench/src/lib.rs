@@ -13,6 +13,23 @@ use eqp_trace::{Chan, Event, Lasso, Trace, Value};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
+/// The `"host"` object every `BENCH_*.json` writer records: the cores
+/// this process may use and the measured checkout (`<sha>-dirty` for
+/// uncommitted edits, `none` outside a git work tree). Numbers from
+/// hosts with different core counts are not comparable.
+pub fn host_json() -> String {
+    let nproc = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let commit = std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty", "--abbrev=40"])
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map_or_else(|| "none".to_owned(), |s| s.trim().to_owned());
+    format!("{{\"nproc\": {nproc}, \"commit\": \"{commit}\"}}")
+}
+
 /// A reproducible random finite trace over `chans` with integer messages
 /// in `lo..hi`.
 pub fn random_trace(seed: u64, len: usize, chans: &[Chan], lo: i64, hi: i64) -> Trace {

@@ -15,12 +15,15 @@
 //! over integer and bit alphabets. A custom function over two channels
 //! whose value depends on how their events interleave (with and without
 //! the incremental hook) checks that such descriptions are keyed by the
-//! whole trace, not by per-channel histories.
+//! whole trace, not by per-channel histories. A third property keeps
+//! only cases where per-channel keys decide the result: every alphabet
+//! channel is read, the key has a slot per channel, and the seed tree is
+//! not uniform (some visited node is not a solution).
 
 use eqp_core::description::{Alphabet, Description};
 use eqp_core::{enumerate, enumerate_memo, EnumOptions, Enumeration};
 use eqp_seqfn::paper::{ch, count_ticks, oracle_false, oracle_true, r_map, until_first_false};
-use eqp_seqfn::{CustomDeltaState, SeqExpr, SeqFunction};
+use eqp_seqfn::{CompiledExpr, CustomDeltaState, SeqExpr, SeqFunction};
 use eqp_trace::{Chan, ChanSet, Event, Lasso, Seq, Trace, Value};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -211,6 +214,35 @@ fn arb_alphabet() -> impl Strategy<Value = Alphabet> {
     })
 }
 
+/// A random description, alphabet and budget on which the per-channel
+/// history key decides the result. Most draws of [`arb_description`] are
+/// uniform — every node a solution, so any collapse of histories yields
+/// the same [`Enumeration`] — and are rejected, as are draws whose key
+/// is the whole trace or a single channel, or whose description ignores
+/// an alphabet channel.
+fn arb_keyed_case() -> impl Strategy<Value = (Description, Alphabet, EnumOptions)> {
+    let budget = (1usize..5, 50usize..600).prop_map(|(max_depth, max_nodes)| EnumOptions {
+        max_depth,
+        max_nodes,
+    });
+    (arb_description(), arb_alphabet(), budget).prop_filter(
+        "per-channel keys must decide the enumeration",
+        |(desc, alpha, opts)| {
+            let per_channel = desc
+                .lhs_compiled()
+                .iter()
+                .chain(desc.rhs_compiled())
+                .all(CompiledExpr::per_channel);
+            let chans = alpha.channels();
+            if !per_channel || chans.len() < 2 || !chans.is_subset(&desc.channels()) {
+                return false;
+            }
+            let seed = enumerate(desc, alpha, *opts);
+            seed.solutions.len() < seed.nodes_visited
+        },
+    )
+}
+
 fn assert_identical(tag: &str, got: &Enumeration, want: &Enumeration) {
     assert_eq!(got.solutions, want.solutions, "{tag}: solutions differ");
     assert_eq!(got.dead_ends, want.dead_ends, "{tag}: dead ends differ");
@@ -268,6 +300,14 @@ proptest! {
             .with_ints(b, 0, width)
             .with_ints(x, 0, 2);
         let opts = EnumOptions { max_depth, max_nodes };
+        let seed = enumerate(&desc, &alpha, opts);
+        assert_identical("memo", &enumerate_memo(&desc, &alpha, opts), &seed);
+    }
+
+    /// The engine agrees with the seed on trees where merging two
+    /// histories that differ on any one channel changes the result.
+    #[test]
+    fn keyed_descriptions_match_seed((desc, alpha, opts) in arb_keyed_case()) {
         let seed = enumerate(&desc, &alpha, opts);
         assert_identical("memo", &enumerate_memo(&desc, &alpha, opts), &seed);
     }

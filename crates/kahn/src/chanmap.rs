@@ -1,14 +1,28 @@
 //! A [`HashMap`] keyed by [`Chan`] with a trivial multiplicative hasher.
 //!
-//! Channel queues are the engine's hottest data structure: every step
-//! pays several `Chan → queue` lookups. `Chan` is a dense
-//! application-chosen `u32`, so SipHash's DoS resistance buys nothing
-//! here and costs ~15ns per lookup; a Fibonacci multiply-and-fold
-//! spreads sequential ids across buckets just as well for ~1ns.
+//! Channel queues and channel meters are the engine's hottest data
+//! structures: every step pays several `Chan → queue` and `Chan →
+//! meter` lookups. `Chan` is a dense application-chosen `u32`, so
+//! SipHash's DoS resistance buys nothing here and costs ~15ns per
+//! lookup, and an ordered tree pays a pointer walk per lookup; a
+//! Fibonacci multiply-and-fold spreads sequential ids across buckets
+//! for ~1ns.
 //!
 //! The map stays a `std::collections::HashMap`, only the `BuildHasher`
 //! changes — nothing may depend on iteration order in either case (the
-//! default `RandomState` already randomizes it per map).
+//! default `RandomState` already randomizes it per map). Where order
+//! is observable, [`ascending`] produces it at the boundary. For the
+//! telemetry meters (`Telemetry::channels`) those boundaries are four:
+//!
+//! * the report's per-channel rows (`RunReport::channels`, built in the
+//!   engine's report step), ordered by channel id;
+//! * `Telemetry`'s `Debug`, which feeds `Checkpoint::fingerprint`;
+//! * the checkpoint wire image (`wire::encode_checkpoint`);
+//! * the heavy-hitter channel-traffic inserts of
+//!   `Telemetry::finish_sketches`.
+//!
+//! The checkpoint's queue map is sorted the same way wherever it is
+//! encoded or fingerprinted.
 
 use eqp_trace::Chan;
 use std::collections::HashMap;
@@ -17,6 +31,14 @@ use std::hash::{BuildHasher, Hasher};
 /// `HashMap<Chan, V>` with the cheap deterministic hasher. Construct
 /// with `ChanMap::default()` (`HashMap::new` is `RandomState`-only).
 pub(crate) type ChanMap<V> = HashMap<Chan, V, BuildChanHash>;
+
+/// The entries of `m` in ascending channel order — the canonical order
+/// of every output that can observe a [`ChanMap`]'s contents.
+pub(crate) fn ascending<V>(m: &ChanMap<V>) -> Vec<(Chan, &V)> {
+    let mut v: Vec<(Chan, &V)> = m.iter().map(|(c, x)| (*c, x)).collect();
+    v.sort_unstable_by_key(|&(c, _)| c);
+    v
+}
 
 /// [`BuildHasher`] for [`ChanHash`]; stateless, so hashes are identical
 /// across maps and runs.

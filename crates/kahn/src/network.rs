@@ -1,7 +1,7 @@
 //! Networks: processes wired by FIFO channels, run to quiescence — with
 //! optional checkpointing, supervision, and engine-level fault injection.
 
-use crate::chanmap::ChanMap;
+use crate::chanmap::{ascending, ChanMap};
 use crate::conformance::Conformance;
 use crate::faults::{CrashPoint, EngineLink, FaultSchedule};
 use crate::monitor::{MonitorPolicy, SmoothnessMonitor};
@@ -16,10 +16,10 @@ use crate::snapshot::{Checkpoint, SnapshotError, StateCell};
 use crate::supervisor::{Journal, RecoveryRecord, Replay, RestoreMethod, SupervisorOptions};
 use crate::wire::CheckpointView;
 use eqp_core::Description;
-use eqp_trace::{Chan, Event, Trace, Value};
+use eqp_trace::{Chan, ChanSet, Event, Trace, Value};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 /// What a bounded run does with a send on a channel already at capacity
 /// (see [`RunOptions::channel_capacity`]).
@@ -710,7 +710,7 @@ impl<'a> Engine<'a> {
             // managed = every channel some process consumes; terminal
             // channels nobody reads model the observable history, not a
             // buffer, and stay unbounded
-            let managed: BTreeSet<Chan> = declared.iter().flatten().copied().collect();
+            let managed = ChanSet::from_chans(declared.iter().flatten().copied());
             FlowControl {
                 capacity,
                 policy: opts.overflow,
@@ -1016,7 +1016,7 @@ impl<'a> Engine<'a> {
                         self.declared_out[i]
                             .iter()
                             .find(|c| {
-                                f.managed.contains(c)
+                                f.managed.contains(**c)
                                     && self.queues.get(c).map_or(0, VecDeque::len) >= f.capacity
                             })
                             .copied()
@@ -1338,7 +1338,7 @@ impl<'a> Engine<'a> {
                 if let Some(e) = event {
                     telemetry.note_link_fault(c, e);
                 }
-                raw_send(queues, trace, Some(telemetry), c, v);
+                raw_send(queues, trace, Some(telemetry), None, c, v);
                 any = true;
             }
         }
@@ -1503,16 +1503,14 @@ impl<'a> Engine<'a> {
             })
             .collect();
         let flow = self.flow.as_ref();
-        let channel_reports = self
-            .telemetry
-            .channels
-            .iter()
+        let channel_reports = ascending(&self.telemetry.channels)
+            .into_iter()
             .map(|(c, k)| ChannelReport {
-                chan: *c,
+                chan: c,
                 sends: k.sends,
                 receives: k.receives,
                 high_water: k.high_water,
-                residual: self.queues.get(c).map_or(0, VecDeque::len),
+                residual: self.queues.get(&c).map_or(0, VecDeque::len),
                 consumer: k.consumer.map(name_of),
                 capacity: flow.filter(|f| f.managed.contains(c)).map(|f| f.capacity),
                 blocked_sends: k.blocked,
@@ -2103,5 +2101,80 @@ mod tests {
         let net = pipeline();
         assert_eq!(net.channels(), vec![c(), d()]);
         assert_eq!(net.process_names(), vec!["env", "double"]);
+    }
+
+    /// Fills `full` once, then every step sends on the fresh `side`
+    /// channel before `full` again: that step blocks and rolls back.
+    struct SideThenFull {
+        sent: u64,
+    }
+
+    impl Process for SideThenFull {
+        fn name(&self) -> &str {
+            "side-then-full"
+        }
+
+        fn step(&mut self, ctx: &mut StepCtx<'_>) -> StepResult {
+            if self.sent > 0 {
+                ctx.send(Chan::new(7), Value::Int(0));
+            }
+            ctx.send(Chan::new(8), Value::Int(1));
+            self.sent += 1;
+            StepResult::Progress
+        }
+
+        fn snapshot(&self) -> Option<StateCell> {
+            Some(StateCell::Nat(self.sent))
+        }
+
+        fn restore(&mut self, state: &StateCell) -> bool {
+            state.as_nat().map(|n| self.sent = n).is_some()
+        }
+    }
+
+    /// Declares `full` as its input (so the channel is capacity-managed)
+    /// and never reads it.
+    struct Deaf;
+
+    impl Process for Deaf {
+        fn name(&self) -> &str {
+            "deaf"
+        }
+
+        fn inputs(&self) -> Vec<Chan> {
+            vec![Chan::new(8)]
+        }
+
+        fn step(&mut self, _: &mut StepCtx<'_>) -> StepResult {
+            StepResult::Idle
+        }
+    }
+
+    #[test]
+    fn rolled_back_first_send_leaves_no_meters() {
+        let mut net = Network::new();
+        net.add(SideThenFull { sent: 0 });
+        net.add(Deaf);
+        let report = net.run_report(&mut RoundRobin::new(), RunOptions::bounded(1));
+        assert_eq!(
+            report.status,
+            RunStatus::Backpressured {
+                process: "side-then-full".into(),
+                chan: Chan::new(8),
+            }
+        );
+        assert!(report.trace.events().is_some_and(|e| e.len() == 1));
+        // the rolled-back step's send on channel 7 never happened: it has
+        // no meters, so no report row
+        let rows: Vec<(Chan, usize, usize)> = report
+            .channels
+            .iter()
+            .map(|r| (r.chan, r.sends, r.blocked_sends))
+            .collect();
+        assert_eq!(
+            rows,
+            vec![(Chan::new(8), 1, report.processes[0].send_blocked)]
+        );
+        assert!(report.processes[0].send_blocked > 0);
     }
 }

@@ -5,13 +5,13 @@ use crate::chanmap::ChanMap;
 use crate::faults::{EngineLink, FaultEvent};
 use crate::network::OverflowPolicy;
 use crate::reliable::ReliableLink;
-use crate::report::{ChannelCounters, CounterSnap, Telemetry};
+use crate::report::{CounterSnap, Telemetry};
 use crate::snapshot::StateCell;
 use crate::supervisor::{Journal, Op, Replay};
-use eqp_trace::{Chan, Event, Value};
+use eqp_trace::{Chan, ChanSet, Event, Value};
 use rand::rngs::StdRng;
 use rand::{RngCore, RngExt};
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 /// What a process accomplished in one scheduled step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,7 +80,7 @@ pub(crate) struct FlowControl {
     /// Channels the capacity applies to: every *declared input* of some
     /// process. Channels nobody declares as input (environment-facing
     /// outputs) have no consumer to grant credit and stay unbounded.
-    pub(crate) managed: BTreeSet<Chan>,
+    pub(crate) managed: ChanSet,
     /// The in-flight step's transaction.
     pub(crate) txn: FlowTxn,
 }
@@ -111,6 +111,14 @@ impl FlowTxn {
         self.pops.clear();
         self.saved.clear();
     }
+
+    /// Saves `c`'s meter image `prev` unless the step already saved
+    /// `c` (the first touch holds the pre-step image).
+    pub(crate) fn save(&mut self, c: Chan, prev: Option<CounterSnap>) {
+        if !self.saved.iter().any(|&(sc, _)| sc == c) {
+            self.saved.push((c, prev));
+        }
+    }
 }
 
 impl<'a> StepCtx<'a> {
@@ -135,22 +143,6 @@ impl<'a> StepCtx<'a> {
             reliables: None,
             flow: None,
         }
-    }
-
-    /// Saves channel `c`'s telemetry meters into the flow transaction
-    /// (first touch only), so a rolled-back step restores them exactly.
-    fn flow_save(&mut self, c: Chan) {
-        let prev = self
-            .telemetry
-            .as_deref()
-            .and_then(|t| t.channels.get(&c).map(ChannelCounters::snap));
-        let Some(f) = self.flow.as_deref_mut() else {
-            return;
-        };
-        if f.txn.saved.iter().any(|&(sc, _)| sc == c) {
-            return;
-        }
-        f.txn.saved.push((c, prev));
     }
 
     /// Number of messages waiting on `c`.
@@ -196,13 +188,13 @@ impl<'a> StepCtx<'a> {
 
     /// Consumes the head message of `c`.
     pub fn pop(&mut self, c: Chan) -> Option<Value> {
-        if let Some(t) = self.telemetry.as_deref_mut() {
-            t.note_consumer(c, self.current);
-        }
         if let Some(r) = self.replay.as_deref_mut() {
             if let Some(op) = r.ops.pop_front() {
                 match op {
                     Op::Pop(rc, expected) if rc == c => {
+                        if let Some(t) = self.telemetry.as_deref_mut() {
+                            t.note_consumer(c, self.current);
+                        }
                         if expected.is_some() {
                             // the journaled value was re-queued at restart;
                             // consume it again (metering already counted it
@@ -220,19 +212,12 @@ impl<'a> StepCtx<'a> {
             }
         }
         let v = self.queues.get_mut(&c).and_then(VecDeque::pop_front);
-        if let Some(v) = v {
-            if self.flow.is_some() {
-                self.flow_save(c);
-                self.flow
-                    .as_deref_mut()
-                    .expect("flow is present")
-                    .txn
-                    .pops
-                    .push((c, v));
-            }
-            if let Some(t) = self.telemetry.as_deref_mut() {
-                t.note_receive(c);
-            }
+        if let Some(t) = self.telemetry.as_deref_mut() {
+            let txn = self.flow.as_deref_mut().map(|f| &mut f.txn);
+            t.note_pop(c, self.current, v.is_some(), txn);
+        }
+        if let (Some(f), Some(v)) = (self.flow.as_deref_mut(), v) {
+            f.txn.pops.push((c, v));
         }
         if let Some(j) = self.journal.as_deref_mut() {
             j.ops.push(Op::Pop(c, v));
@@ -279,7 +264,14 @@ impl<'a> StepCtx<'a> {
                     t.note_link_fault(c, e);
                 }
                 for d in deliveries {
-                    raw_send(self.queues, self.trace, self.telemetry.as_deref_mut(), c, d);
+                    raw_send(
+                        self.queues,
+                        self.trace,
+                        self.telemetry.as_deref_mut(),
+                        None,
+                        c,
+                        d,
+                    );
                 }
                 return;
             }
@@ -291,8 +283,7 @@ impl<'a> StepCtx<'a> {
                 // further deliveries.
                 return;
             }
-            if f.managed.contains(&c) && self.queues.get(&c).map_or(0, VecDeque::len) >= f.capacity
-            {
+            if f.managed.contains(c) && self.queues.get(&c).map_or(0, VecDeque::len) >= f.capacity {
                 policy_if_full = Some(f.policy);
             }
         }
@@ -313,16 +304,18 @@ impl<'a> StepCtx<'a> {
             }
             None => {}
         }
-        if self.flow.is_some() {
-            self.flow_save(c);
-            self.flow
-                .as_deref_mut()
-                .expect("flow is present")
-                .txn
-                .sends
-                .push(c);
-        }
-        raw_send(self.queues, self.trace, self.telemetry.as_deref_mut(), c, v);
+        let txn = self.flow.as_deref_mut().map(|f| {
+            f.txn.sends.push(c);
+            &mut f.txn
+        });
+        raw_send(
+            self.queues,
+            self.trace,
+            self.telemetry.as_deref_mut(),
+            txn,
+            c,
+            v,
+        );
     }
 
     /// A nondeterministic coin flip (seeded at the network level, so runs
@@ -371,10 +364,14 @@ impl<'a> StepCtx<'a> {
 }
 
 /// Delivers `v` on `c` for real: trace event, queue append, telemetry.
+/// Under flow control, `txn` saves `c`'s meters before the send
+/// touches them (first touch only), so a rolled-back step restores them
+/// exactly.
 pub(crate) fn raw_send(
     queues: &mut ChanMap<VecDeque<Value>>,
     trace: &mut Vec<Event>,
     telemetry: Option<&mut Telemetry>,
+    txn: Option<&mut FlowTxn>,
     c: Chan,
     v: Value,
 ) {
@@ -383,7 +380,7 @@ pub(crate) fn raw_send(
     q.push_back(v);
     let depth = q.len();
     if let Some(t) = telemetry {
-        t.note_send(c, depth, v);
+        t.note_send(c, depth, v, txn);
     }
 }
 

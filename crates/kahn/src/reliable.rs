@@ -437,7 +437,7 @@ impl ReliableLink {
             }
         }
         while let Some(v) = self.reorder.remove(&self.expected) {
-            raw_send(queues, trace, Some(telemetry), self.chan, v);
+            raw_send(queues, trace, Some(telemetry), None, self.chan, v);
             self.expected += 1;
         }
         if got_frame {

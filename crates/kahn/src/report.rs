@@ -14,12 +14,15 @@
 //! [`recoveries`](RunReport::recoveries) — the operational observability
 //! layer the paper's quiescent-trace semantics leaves implicit.
 
+use crate::chanmap::{ascending, ChanMap};
 use crate::faults::FaultEvent;
 use crate::network::RunResult;
+use crate::process::FlowTxn;
 use crate::supervisor::RecoveryRecord;
 use eqp_sketch::{splitmix64, SketchConfig, SketchStats, TelemetrySketches};
 use eqp_trace::{Chan, Trace, Value};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::VecDeque;
 use std::fmt;
 
 /// A cheap, well-mixed 64-bit hash of a [`Value`] for the distinct-value
@@ -659,7 +662,10 @@ pub(crate) enum SketchObs {
 /// along, which is exactly what makes resumed-segment roll-up exact.
 #[derive(Default, Clone)]
 pub(crate) struct Telemetry {
-    pub(crate) channels: BTreeMap<Chan, ChannelCounters>,
+    /// Per-channel meters. Hash-keyed because every step looks one up
+    /// (a send, a pop, a peek); ascending channel order is produced only
+    /// where it can be observed (see [`crate::chanmap`]).
+    pub(crate) channels: ChanMap<ChannelCounters>,
     /// `(chan, first reader index, second reader index)` — deduplicated.
     pub(crate) violations: Vec<(Chan, usize, usize)>,
     /// Injected fault events, in injection order.
@@ -687,11 +693,19 @@ pub(crate) struct Telemetry {
 }
 
 /// Manual impl so `direct` — an execution-mode flag, not run state —
-/// stays out of checkpoint fingerprints and report-identity comparisons.
+/// stays out of checkpoint fingerprints and report-identity comparisons,
+/// and so the meters print in ascending channel order (the text an
+/// ordered map would print) whatever the hash map's layout.
 impl fmt::Debug for Telemetry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Ascending<'a>(&'a ChanMap<ChannelCounters>);
+        impl fmt::Debug for Ascending<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_map().entries(ascending(self.0)).finish()
+            }
+        }
         f.debug_struct("Telemetry")
-            .field("channels", &self.channels)
+            .field("channels", &Ascending(&self.channels))
             .field("violations", &self.violations)
             .field("faults", &self.faults)
             .field("round", &self.round)
@@ -701,9 +715,14 @@ impl fmt::Debug for Telemetry {
     }
 }
 
+// The per-step meter notes are `#[inline]`: left to the compiler, they
+// were not inlined into `StepCtx::send`/`pop`, which cost a two-channel
+// pipeline 5–12% of its run time.
 impl Telemetry {
-    /// Records that process `reader` read (popped or peeked) channel `c`.
-    pub(crate) fn note_consumer(&mut self, c: Chan, reader: usize) {
+    /// Records that process `reader` read (popped or peeked) channel `c`
+    /// and returns `c`'s meters.
+    #[inline]
+    pub(crate) fn note_consumer(&mut self, c: Chan, reader: usize) -> &mut ChannelCounters {
         let counters = self.channels.entry(c).or_default();
         match counters.consumer {
             None => counters.consumer = Some(reader),
@@ -718,13 +737,30 @@ impl Telemetry {
             }
             Some(_) => {}
         }
+        counters
     }
 
-    /// Records a send of `v` on `c` that left the queue at depth `depth`.
-    pub(crate) fn note_send(&mut self, c: Chan, depth: usize, v: Value) {
+    /// Records a send of `v` on `c` that left the queue at depth `depth`,
+    /// first saving `c`'s meters into the flow transaction `txn`, if
+    /// any (`None` when `c` had no meters yet, so rollback removes them).
+    #[inline]
+    pub(crate) fn note_send(&mut self, c: Chan, depth: usize, v: Value, txn: Option<&mut FlowTxn>) {
         let round = self.round;
         let sketching = self.sketches.is_some();
-        let counters = self.channels.entry(c).or_default();
+        let counters = match self.channels.entry(c) {
+            Entry::Occupied(e) => {
+                if let Some(txn) = txn {
+                    txn.save(c, Some(e.get().snap()));
+                }
+                e.into_mut()
+            }
+            Entry::Vacant(e) => {
+                if let Some(txn) = txn {
+                    txn.save(c, None);
+                }
+                e.insert(ChannelCounters::default())
+            }
+        };
         counters.sends += 1;
         counters.high_water = counters.high_water.max(depth);
         if sketching {
@@ -791,11 +827,29 @@ impl Telemetry {
         }
     }
 
-    /// Records a successful pop from `c`.
-    pub(crate) fn note_receive(&mut self, c: Chan) {
+    /// Records a pop attempt on `c` by process `reader` in one meter
+    /// lookup: the consumer note always, and, when a message came off
+    /// the queue (`popped`), the receive meter. Under flow control the
+    /// meters are saved into `txn` between the two (first touch only),
+    /// so a rolled-back step restores the consumer note it made and
+    /// undoes the receive.
+    #[inline]
+    pub(crate) fn note_pop(
+        &mut self,
+        c: Chan,
+        reader: usize,
+        popped: bool,
+        txn: Option<&mut FlowTxn>,
+    ) {
         let round = self.round;
         let sketching = self.sketches.is_some();
-        let counters = self.channels.entry(c).or_default();
+        let counters = self.note_consumer(c, reader);
+        if !popped {
+            return;
+        }
+        if let Some(txn) = txn {
+            txn.save(c, Some(counters.snap()));
+        }
         counters.receives += 1;
         if sketching && counters.receives as u64 & QUANTILE_SAMPLE_MASK == 1 {
             self.sketch_recv(c, round);
@@ -911,7 +965,7 @@ impl Telemetry {
     /// exactly as the uninterrupted run would.
     pub(crate) fn finish_sketches(&mut self) -> Option<TelemetrySketches> {
         let mut s = self.sketches.take().map(|b| *b)?;
-        for (c, k) in &self.channels {
+        for (c, k) in ascending(&self.channels) {
             s.channel_traffic
                 .insert(u64::from(c.index()), k.sends as u64);
         }

@@ -27,7 +27,7 @@
 //! periodic checkpoints to restore crashed components one-for-one,
 //! replaying their journaled inputs and RNG draws since the checkpoint.
 
-use crate::chanmap::ChanMap;
+use crate::chanmap::{ascending, ChanMap};
 use crate::report::Telemetry;
 use crate::scheduler::Scheduler;
 use eqp_trace::{Event, Value};
@@ -267,9 +267,7 @@ impl Checkpoint {
         let mut h = DefaultHasher::new();
         self.steps.hash(&mut h);
         self.rounds.hash(&mut h);
-        let mut chans: Vec<_> = self.queues.iter().collect();
-        chans.sort_by_key(|(c, _)| **c);
-        for (c, q) in chans {
+        for (c, q) in ascending(&self.queues) {
             format!("{c:?}:{q:?}").hash(&mut h);
         }
         format!("{:?}", self.trace).hash(&mut h);

@@ -29,14 +29,14 @@
 //! durable consumer re-derives the verdict post-hoc from the restored
 //! trace (the two paths are pinned equivalent by `tests/monitor_equivalence.rs`).
 
-use crate::chanmap::ChanMap;
+use crate::chanmap::{ascending, ChanMap};
 use crate::network::ProcCounters;
 use crate::report::{ChannelCounters, FaultSource, Telemetry};
 use crate::snapshot::{Checkpoint, StateCell};
 use eqp_sketch::TelemetrySketches;
 use eqp_trace::{Chan, Event, Value};
 use rand::rngs::StdRng;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 
 /// Format magic + version. Bump the trailing digit on any layout change.
@@ -254,12 +254,11 @@ pub fn encode_checkpoint(ckpt: &Checkpoint) -> Result<Vec<u8>, WireError> {
     };
     e.usize(ckpt.steps);
     e.usize(ckpt.rounds);
-    // queues, in channel order for a canonical image
-    let mut chans: Vec<(&Chan, &VecDeque<Value>)> = ckpt.queues.iter().collect();
-    chans.sort_by_key(|(c, _)| **c);
+    // queues and meters, in channel order for a canonical image
+    let chans = ascending(&ckpt.queues);
     e.usize(chans.len());
     for (c, q) in chans {
-        e.chan(*c);
+        e.chan(c);
         e.usize(q.len());
         for v in q {
             e.value(*v);
@@ -272,9 +271,10 @@ pub fn encode_checkpoint(ckpt: &Checkpoint) -> Result<Vec<u8>, WireError> {
     }
     e.rng(&ckpt.rng);
     // telemetry
-    e.usize(ckpt.telemetry.channels.len());
-    for (c, k) in &ckpt.telemetry.channels {
-        e.chan(*c);
+    let meters = ascending(&ckpt.telemetry.channels);
+    e.usize(meters.len());
+    for (c, k) in meters {
+        e.chan(c);
         e.usize(k.sends);
         e.usize(k.receives);
         e.usize(k.high_water);
@@ -693,7 +693,7 @@ fn decode_body(d: &mut Dec<'_>) -> Result<Checkpoint, WireError> {
     let rng = d.rng()?;
     let mut telemetry = Telemetry::default();
     let nc = d.len(CHAN_RECORD_MIN)?;
-    let mut channels = BTreeMap::new();
+    let mut channels = ChanMap::default();
     for _ in 0..nc {
         let c = d.chan()?;
         let sends = d.u64()? as usize;
