@@ -1,7 +1,6 @@
 //! Descriptions: pairs of continuous tuple-valued functions `f ⟸ g`.
 
-use crate::smooth::StartSide;
-use eqp_seqfn::{CompiledExpr, SeqExpr};
+use eqp_seqfn::{CompiledExpr, CompiledSideEval, SeqExpr};
 use eqp_trace::{Chan, ChanSet, Seq, Trace, Value};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -53,7 +52,7 @@ pub struct Description {
     /// Each equation's `[f, g]` as the smoothness walk starts them: built
     /// by the first walk, so later walks do not rebuild their evaluators,
     /// and shared by clones. Adding an equation resets it.
-    walk: OnceLock<Arc<[[StartSide; 2]]>>,
+    walk: OnceLock<Arc<[[CompiledSideEval; 2]]>>,
     /// Pre-rendered `f ⟸ g` equation strings for diagnostics, so building
     /// a conformance report costs clones rather than tree formatting.
     rendered: Vec<String>,
@@ -141,12 +140,12 @@ impl Description {
 
     /// Each equation's `[f, g]` as the smoothness walk starts them (built
     /// on first use).
-    pub(crate) fn walk_sides(&self) -> &[[StartSide; 2]] {
+    pub(crate) fn walk_sides(&self) -> &[[CompiledSideEval; 2]] {
         self.walk.get_or_init(|| {
             self.lhs_c
                 .iter()
                 .zip(&self.rhs_c)
-                .map(|(f, g)| [StartSide::new(f), StartSide::new(g)])
+                .map(|(f, g)| [CompiledSideEval::new(f), CompiledSideEval::new(g)])
                 .collect()
         })
     }

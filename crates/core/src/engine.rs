@@ -18,11 +18,11 @@
 //!   IR**: each side's [`CompiledExpr`] (fused instructions, interned
 //!   channel masks — see [`eqp_seqfn::compile`]) is cached on the
 //!   [`Description`], each history node carries a [`CompiledDeltaState`]
-//!   per supported side, and the feasibility test `f(u·e) ⊑ g(u)` inspects
-//!   only the values *appended* by the new event. Sides that do not
-//!   support delta evaluation (infinite constants, opaque custom functions
-//!   without the [`eqp_seqfn::SeqFunction::delta_init`] hook) fall back to
-//!   full re-evaluation, exactly as the seed engine does for every side.
+//!   per side, and the feasibility test `f(u·e) ⊑ g(u)` inspects only the
+//!   values *appended* by the new event. Every side is a machine: a custom
+//!   function steps through its [`eqp_seqfn::SeqFunction::delta_init`]
+//!   hook, and an infinite constant is its own value, held as its prefix
+//!   and one cycle and read cyclically past them.
 //!
 //! # Why equal per-channel histories give equal subtrees
 //!
@@ -87,8 +87,8 @@
 //!
 //! A BFS level is a handful of flat tables, not a `Vec` of node structs:
 //! the tree nodes (trace chain, history node), and per history node its
-//! key (stride: the slot count), its sides (stride `2·arity`:
-//! `f_0‥f_{a-1}`, then `g_0‥g_{a-1}`) and a representative trace. The
+//! key (stride: the slot count) and its sides (stride `2·arity`:
+//! `f_0‥f_{a-1}`, then `g_0‥g_{a-1}`). The
 //! worker writes one output buffer per level — a record per history node
 //! (its verdict and its range of edges), the `(event, child)` edge of
 //! every admitted child, the `2·arity` sides of every child that adds a
@@ -116,16 +116,15 @@
 //! child whose history node already exists, and every candidate of a
 //! `has_son` probe (which only asks whether one exists) truncate the run
 //! back to where the candidate began, so they leave no trace and, once the
-//! buffers have grown, cost no allocation. On the incremental path, only
-//! a child that adds a history node and stepped a stateful machine
-//! allocates: the `Arc` holding its copy of that machine. (A `Full` side
-//! re-evaluates from a materialized trace, which allocates, exactly as the
-//! seed does.)
+//! buffers have grown, cost no allocation. Only a child that adds a
+//! history node and stepped a stateful machine allocates: the `Arc`
+//! holding its copy of that machine.
 
 use crate::description::{Alphabet, Description};
 use crate::enumerate::{EnumOptions, Enumeration};
+use eqp_seqfn::compile::cyclic_position;
 use eqp_seqfn::{CompiledDeltaState, CompiledExpr};
-use eqp_trace::{ChainArena, ChainId, Event, Seq, Trace, Value};
+use eqp_trace::{ChainArena, ChainId, Event, Trace, Value};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -134,27 +133,23 @@ use std::sync::Arc;
 
 /// One side (one equation's `f_i` or `g_i`) of one history node.
 ///
-/// States are held behind `Arc` so that a child shares its parent's state
-/// instead of copying it whenever the new event leaves that state as it
-/// was: the event lies outside the side's channel support, or the machine
-/// is stateless.
+/// The machine after this node's trace, and the output so far as a chain
+/// in the value arena (for an infinite constant, its prefix and one
+/// cycle). States are held behind `Arc` so that a child shares its
+/// parent's state instead of copying it whenever the new event leaves that
+/// state as it was: the event lies outside the side's channel support, or
+/// the machine is stateless.
 #[derive(Debug)]
-enum Side {
-    /// Incrementally evaluated: the delta state after this node's trace,
-    /// and the (finite) output so far as a chain in the value arena.
-    Inc {
-        state: Arc<CompiledDeltaState>,
-        chain: ChainId,
-    },
-    /// Delta evaluation unsupported: recompute from the trace on demand.
-    Full,
+struct Side {
+    state: Arc<CompiledDeltaState>,
+    chain: ChainId,
 }
 
 /// One BFS level as flat tables: the tree nodes, and the distinct history
 /// nodes they stand on. History node `h` has key
-/// `keys[s·h‥s·(h+1)]` for `s` key slots, sides `sides[2a·h‥2a·(h+1)]`
-/// for arity `a` — `f_0‥f_{a-1}`, then `g_0‥g_{a-1}` — and trace
-/// `reps[h]`, the first tree node's on it.
+/// `keys[s·h‥s·(h+1)]` for `s` key slots and sides
+/// `sides[2a·h‥2a·(h+1)]` for arity `a` — `f_0‥f_{a-1}`, then
+/// `g_0‥g_{a-1}`.
 #[derive(Debug, Default)]
 struct Level {
     depth: usize,
@@ -162,7 +157,6 @@ struct Level {
     tree: Vec<(ChainId, u32)>,
     keys: Vec<u32>,
     sides: Vec<Side>,
-    reps: Vec<ChainId>,
     /// Key fingerprint → history node (see [`Histories::intern`]).
     index: HashMap<u64, u32, KeyHash>,
 }
@@ -173,13 +167,12 @@ impl Level {
         self.tree.clear();
         self.keys.clear();
         self.sides.clear();
-        self.reps.clear();
         self.index.clear();
     }
 
-    /// The number of history nodes.
-    fn histories(&self) -> usize {
-        self.reps.len()
+    /// The number of history nodes, for keys of `width` slots.
+    fn histories(&self, width: usize) -> usize {
+        self.keys.len() / width
     }
 }
 
@@ -253,8 +246,7 @@ impl Histories {
             // One slot holds the whole trace (one channel, or a whole-trace
             // key): every child is a history node of its own.
             next.keys.push(0);
-            next.reps.push(ChainId::EMPTY);
-            return (next.reps.len() as u32 - 1, true);
+            return (next.keys.len() as u32 - 1, true);
         }
         let fresh = self.next.len() as u32 + 1;
         self.key.clear();
@@ -277,10 +269,9 @@ impl Histories {
                     fp = fp.wrapping_add(1);
                 }
                 Entry::Vacant(e) => {
-                    let h = next.reps.len() as u32;
+                    let h = (next.keys.len() / width) as u32;
                     e.insert(h);
                     next.keys.extend_from_slice(&self.key);
-                    next.reps.push(ChainId::EMPTY);
                     return (h, true);
                 }
             }
@@ -298,15 +289,11 @@ fn mix(id: u32) -> u64 {
 }
 
 /// A side of a new history node's first admitted child, as the worker
-/// reports it.
-enum ChildSide {
-    /// The child's machine, and how many values the side appended: they
-    /// follow the previous `Inc` side's values in [`Out::deltas`].
-    Inc {
-        state: Arc<CompiledDeltaState>,
-        appended: usize,
-    },
-    Full,
+/// reports it: the child's machine, and how many values the side
+/// appended — they follow the previous side's values in [`Out::deltas`].
+struct ChildSide {
+    state: Arc<CompiledDeltaState>,
+    appended: usize,
 }
 
 /// What the worker reports about one history node: its verdict and its
@@ -335,97 +322,62 @@ struct Out {
     deltas: Vec<Value>,
 }
 
-/// `g_i(u)` at the current node, however it is represented.
+/// A side's value at the current node: its output chain, read cyclically
+/// past its end when the side is an infinite constant (`cycle > 0`).
 #[derive(Clone, Copy)]
-enum Rhs<'a> {
-    Chain(ChainId),
-    Seq(&'a Seq),
+struct View {
+    chain: ChainId,
+    cycle: usize,
 }
 
-impl Rhs<'_> {
+impl View {
     fn get(self, values: &ChainArena<Value>, k: usize) -> Option<Value> {
-        match self {
-            Rhs::Chain(c) => values.get(c, k).copied(),
-            Rhs::Seq(s) => s.get(k).copied(),
-        }
-    }
-
-    fn len_is(self, values: &ChainArena<Value>, n: usize) -> bool {
-        match self {
-            Rhs::Chain(c) => values.chain_len(c) == n,
-            Rhs::Seq(s) => s.len().as_finite() == Some(n),
-        }
+        let k = match self.cycle {
+            0 => k,
+            c => cyclic_position(values.chain_len(self.chain), c, k)?,
+        };
+        values.get(self.chain, k).copied()
     }
 
     fn len_at_least(self, values: &ChainArena<Value>, n: usize) -> bool {
-        match self {
-            Rhs::Chain(c) => values.chain_len(c) >= n,
-            Rhs::Seq(s) => s.len().as_finite().is_none_or(|m| m >= n),
-        }
+        self.cycle > 0 || values.chain_len(self.chain) >= n
+    }
+
+    /// Equal to `f`, given `f ⊑ self` unless `contents`. A cycle and a
+    /// chain hold a canonical lasso's prefix and cycle, so equal cycle
+    /// lengths and equal chains are equal values.
+    fn equals(self, values: &ChainArena<Value>, f: View, contents: bool) -> bool {
+        let l = values.chain_len(f.chain);
+        self.cycle == f.cycle
+            && values.chain_len(self.chain) == l
+            && (!contents || (0..l).all(|p| values.get(f.chain, p) == values.get(self.chain, p)))
     }
 }
 
 struct Ctx<'a> {
     alphabet: &'a Alphabet,
     arity: usize,
-    /// Per-equation compiled IR for `f_i` / `g_i`, cached on the
-    /// description.
-    lhs_fns: &'a [CompiledExpr],
-    rhs_fns: &'a [CompiledExpr],
     /// Per side slot (`f_0‥f_{a-1}`, then `g_0‥g_{a-1}`): the slot's
     /// machine is stateless, so nodes share it. Stepping changes no
     /// machine's shape, so the root's machines decide for the whole tree.
     stateless: Vec<bool>,
-    /// Some side is `Full`, so every node needs its [`Fallback`] view.
-    /// Fixed for the whole tree, like `stateless`.
-    fallback: bool,
+    /// Per side slot: the cycle of an infinite constant, else 0.
+    cycles: Vec<usize>,
 }
 
-/// What the full re-evaluation fallback needs at a node: its trace, and
-/// `g_i(u)` as a sequence for every `Full` `g_i` — and for every `g_i`
-/// when some `f_i` is `Full` (compared by `⊑` on whole sequences).
-struct Fallback {
-    events: Vec<Event>,
-    rhs: Vec<Option<Seq>>,
-}
-
-impl Fallback {
-    fn new(sh: &Shared<'_>, trace: ChainId, lhs: &[Side], rhs: &[Side]) -> Fallback {
-        let events = sh.events.items(trace);
-        let t = Trace::finite(events.clone());
-        let any_full_lhs = lhs.iter().any(|s| matches!(s, Side::Full));
-        let rhs = rhs
-            .iter()
-            .enumerate()
-            .map(|(i, s)| match s {
-                Side::Full => Some(sh.ctx.rhs_fns[i].eval(&t)),
-                Side::Inc { chain, .. } => {
-                    any_full_lhs.then(|| Seq::finite(sh.values.items(*chain)))
-                }
-            })
-            .collect();
-        Fallback { events, rhs }
-    }
-
-    /// `g_i(u)` as a sequence, for comparing a `Full` `f_i`.
-    fn rhs(&self, i: usize) -> &Seq {
-        self.rhs[i]
-            .as_ref()
-            .expect("g_i(u) evaluated for this Full side")
-    }
-
-    /// `f_i` re-evaluated on the node's trace extended by `ev`.
-    fn lhs_after(&self, ctx: &Ctx<'_>, i: usize, ev: Option<Event>) -> Seq {
-        let mut evs = self.events.clone();
-        evs.extend(ev);
-        ctx.lhs_fns[i].eval(&Trace::finite(evs))
+impl Ctx<'_> {
+    /// Side slot `j`'s value at a node with sides `sides`.
+    fn view(&self, sides: &[Side], j: usize) -> View {
+        View {
+            chain: sides[j].chain,
+            cycle: self.cycles[j],
+        }
     }
 }
 
 /// What a level's visits read: the frozen arenas and the level's tables.
 struct Shared<'a> {
     ctx: &'a Ctx<'a>,
-    events: &'a ChainArena<Event>,
     values: &'a ChainArena<Value>,
     level: &'a Level,
     /// Only the root level lacks the prefix invariant.
@@ -482,27 +434,13 @@ impl Worker {
         let sides = &sh.level.sides[2 * a * k..2 * a * (k + 1)];
         let width = self.histories.width;
         let key = &sh.level.keys[width * k..width * (k + 1)];
-        let (lhs, rhs) = sides.split_at(a);
-        let fb = ctx
-            .fallback
-            .then(|| Fallback::new(sh, sh.level.reps[k], lhs, rhs));
-        let fb = fb.as_ref();
 
         // Limit condition f(u) = g(u). With the prefix invariant (non-root),
         // per-equation equality is exactly length equality; the root
         // verifies contents too.
-        let is_solution = lhs.iter().enumerate().all(|(i, side)| match side {
-            Side::Inc { chain, .. } => {
-                let l = sh.values.chain_len(*chain);
-                let g = rhs_view(rhs, fb, i);
-                g.len_is(sh.values, l)
-                    && (!sh.verify_base
-                        || (0..l).all(|p| sh.values.get(*chain, p).copied() == g.get(sh.values, p)))
-            }
-            Side::Full => {
-                let fb = fb.expect("fallback view");
-                fb.lhs_after(ctx, i, None) == *fb.rhs(i)
-            }
+        let is_solution = (0..a).all(|i| {
+            ctx.view(sides, a + i)
+                .equals(sh.values, ctx.view(sides, i), sh.verify_base)
         });
 
         let mut has_son = false;
@@ -513,7 +451,7 @@ impl Worker {
                 let ev = Event::new(c, *m);
                 kind += 1;
                 let mark = self.out.deltas.len();
-                if !self.try_child(sh, lhs, rhs, fb, ev) {
+                if !self.try_child(sh, sides, ev) {
                     continue;
                 }
                 if sh.probe {
@@ -524,7 +462,7 @@ impl Worker {
                 let (child, fresh) = self.histories.intern(key, chan, kind, next);
                 self.out.children.push((ev, child));
                 if fresh {
-                    self.admit(ctx, lhs, rhs, ev, mark);
+                    self.admit(ctx, sides, ev, mark);
                 } else {
                     // The history node already has its sides.
                     self.out.deltas.truncate(mark);
@@ -542,50 +480,37 @@ impl Worker {
     /// Tests `f(u·ev) ⊑ g(u)`. An admitted candidate leaves the values the
     /// `f_i` appended in the output run (ending at `ends[i]`); a rejected
     /// one leaves the output as it found it.
-    fn try_child(
-        &mut self,
-        sh: &Shared<'_>,
-        lhs: &[Side],
-        rhs: &[Side],
-        fb: Option<&Fallback>,
-        ev: Event,
-    ) -> bool {
+    fn try_child(&mut self, sh: &Shared<'_>, sides: &[Side], ev: Event) -> bool {
         let ctx = sh.ctx;
+        let a = ctx.arity;
         let values = sh.values;
         let mark = self.out.deltas.len();
-        for (i, side) in lhs.iter().enumerate() {
-            let ok = match side {
-                Side::Inc { state, chain } => {
-                    let reads = state.reads(ev.chan);
-                    // A foreign event appends nothing; `f_i(u) ⊑ g_i(u)`
-                    // (the invariant) is then already the whole check.
-                    if reads || sh.verify_base {
-                        let start = self.out.deltas.len();
-                        if reads {
-                            self.step(ctx, i, state, ev);
-                        }
-                        let l = values.chain_len(*chain);
-                        let g = rhs_view(rhs, fb, i);
-                        let delta = &self.out.deltas[start..];
-                        g.len_at_least(values, l + delta.len())
-                            // The root's prefix invariant is not
-                            // established yet: verify the already-emitted
-                            // values too.
-                            && (!sh.verify_base
-                                || (0..l).all(|p| {
-                                    values.get(*chain, p).copied() == g.get(values, p)
-                                }))
-                            && delta
-                                .iter()
-                                .enumerate()
-                                .all(|(p, v)| Some(*v) == g.get(values, l + p))
-                    } else {
-                        true
-                    }
+        for (i, Side { state, chain }) in sides[..a].iter().enumerate() {
+            let reads = state.reads(ev.chan);
+            // A foreign event appends nothing; `f_i(u) ⊑ g_i(u)` (the
+            // invariant) is then already the whole check.
+            let ok = !(reads || sh.verify_base) || {
+                let start = self.out.deltas.len();
+                if reads {
+                    self.step(ctx, i, state, ev);
                 }
-                Side::Full => {
-                    let fb = fb.expect("fallback view");
-                    fb.lhs_after(ctx, i, Some(ev)).leq(fb.rhs(i))
+                let g = ctx.view(sides, a + i);
+                if ctx.cycles[i] > 0 {
+                    // An infinite constant reads nothing, so this is the
+                    // root: only the same infinite word lies above it.
+                    g.equals(values, ctx.view(sides, i), true)
+                } else {
+                    let l = values.chain_len(*chain);
+                    let delta = &self.out.deltas[start..];
+                    g.len_at_least(values, l + delta.len())
+                        // The root's prefix invariant is not established
+                        // yet: verify the already-emitted values too.
+                        && (!sh.verify_base
+                            || (0..l).all(|p| values.get(*chain, p).copied() == g.get(values, p)))
+                        && delta
+                            .iter()
+                            .enumerate()
+                            .all(|(p, v)| Some(*v) == g.get(values, l + p))
                 }
             };
             if !ok {
@@ -600,84 +525,58 @@ impl Worker {
     /// Completes an admitted child that adds a history node: steps the
     /// `g_i`, and reports all `2·arity` sides, whose appended values begin
     /// at `mark`.
-    fn admit(&mut self, ctx: &Ctx<'_>, lhs: &[Side], rhs: &[Side], ev: Event, mark: usize) {
+    fn admit(&mut self, ctx: &Ctx<'_>, sides: &[Side], ev: Event, mark: usize) {
         let a = ctx.arity;
-        for (i, side) in rhs.iter().enumerate() {
-            if let Side::Inc { state, .. } = side {
-                if state.reads(ev.chan) {
-                    self.step(ctx, a + i, state, ev);
-                }
+        for (j, side) in sides.iter().enumerate().skip(a) {
+            if side.state.reads(ev.chan) {
+                self.step(ctx, j, &side.state, ev);
             }
-            self.ends[a + i] = self.out.deltas.len();
+            self.ends[j] = self.out.deltas.len();
         }
         // Only now are stepped stateful machines copied out of scratch.
         let mut prev = mark;
-        for (j, side) in lhs.iter().chain(rhs).enumerate() {
-            let child = match side {
-                Side::Inc { state, .. } => {
-                    let state = if state.reads(ev.chan) && !ctx.stateless[j] {
-                        Arc::new(self.scratch[j].as_ref().expect("stepped").clone())
-                    } else {
-                        Arc::clone(state)
-                    };
-                    let appended = self.ends[j] - prev;
-                    prev = self.ends[j];
-                    ChildSide::Inc { state, appended }
-                }
-                Side::Full => ChildSide::Full,
+        for (j, side) in sides.iter().enumerate() {
+            let state = if side.state.reads(ev.chan) && !ctx.stateless[j] {
+                Arc::new(self.scratch[j].as_ref().expect("stepped").clone())
+            } else {
+                Arc::clone(&side.state)
             };
-            self.out.child_sides.push(child);
+            let appended = self.ends[j] - prev;
+            prev = self.ends[j];
+            self.out.child_sides.push(ChildSide { state, appended });
         }
-    }
-}
-
-/// `g_i(u)` at a node with right sides `rhs`.
-fn rhs_view<'v>(rhs: &[Side], fb: Option<&'v Fallback>, i: usize) -> Rhs<'v> {
-    match &rhs[i] {
-        Side::Inc { chain, .. } => Rhs::Chain(*chain),
-        Side::Full => Rhs::Seq(fb.expect("fallback view").rhs(i)),
     }
 }
 
 /// The enumeration, and how many history nodes were visited — never more
 /// than the tree nodes visited (`nodes_visited`).
 fn run(desc: &Description, alphabet: &Alphabet, opts: EnumOptions) -> (Enumeration, usize) {
-    let (lhs_fns, rhs_fns) = (desc.lhs_compiled(), desc.rhs_compiled());
+    let sides = || desc.lhs_compiled().iter().chain(desc.rhs_compiled());
     let a = desc.arity();
     let mut events: ChainArena<Event> = ChainArena::new();
     let mut values: ChainArena<Value> = ChainArena::new();
     let histories = Histories::new(desc, alphabet);
+    let width = histories.width;
 
     let mut level = Level::default();
     level.tree.push((ChainId::EMPTY, 0));
-    level.keys.resize(histories.width, 0);
-    level.reps.push(ChainId::EMPTY);
-    for f in lhs_fns.iter().chain(rhs_fns) {
-        level.sides.push(match f.delta_init() {
-            Some((state, out)) => {
-                let mut chain = ChainId::EMPTY;
-                for v in out {
-                    chain = values.push(chain, v);
-                }
-                Side::Inc {
-                    state: Arc::new(state),
-                    chain,
-                }
-            }
-            None => Side::Full,
+    level.keys.resize(width, 0);
+    for f in sides() {
+        let (state, out) = f.delta_init();
+        let mut chain = ChainId::EMPTY;
+        for v in out {
+            chain = values.push(chain, v);
+        }
+        level.sides.push(Side {
+            state: Arc::new(state),
+            chain,
         });
     }
     let ctx = Ctx {
         alphabet,
         arity: a,
-        lhs_fns,
-        rhs_fns,
-        stateless: level
-            .sides
-            .iter()
-            .map(|s| matches!(s, Side::Inc { state, .. } if state.is_stateless()))
-            .collect(),
-        fallback: level.sides.iter().any(|s| matches!(s, Side::Full)),
+        stateless: level.sides.iter().map(|s| s.state.is_stateless()).collect(),
+        cycles: sides().map(CompiledExpr::cycle).collect(),
     };
 
     let mut out = Enumeration {
@@ -711,7 +610,6 @@ fn run(desc: &Description, alphabet: &Alphabet, opts: EnumOptions) -> (Enumerati
         let at_bound = level.depth >= opts.max_depth;
         let sh = Shared {
             ctx: &ctx,
-            events: &events,
             values: &values,
             level: &level,
             verify_base,
@@ -722,13 +620,13 @@ fn run(desc: &Description, alphabet: &Alphabet, opts: EnumOptions) -> (Enumerati
         // visited: all of them unless the budget cut the level.
         if truncated_here {
             reached.clear();
-            reached.resize(level.histories(), false);
+            reached.resize(level.histories(width), false);
             for &(_, h) in &level.tree {
                 reached[h as usize] = true;
             }
         }
         let cut_off = |k: usize| truncated_here && !reached[k];
-        for k in 0..level.histories() {
+        for k in 0..level.histories(width) {
             if cut_off(k) {
                 worker.out.nodes.push(NodeOut::default());
             } else {
@@ -755,18 +653,14 @@ fn run(desc: &Description, alphabet: &Alphabet, opts: EnumOptions) -> (Enumerati
                 }
                 built += 1;
                 for p in parent {
-                    let side = match (child_sides.next().expect("2a sides per child"), p) {
-                        (ChildSide::Inc { state, appended }, Side::Inc { chain, .. }) => {
-                            let mut c = *chain;
-                            for v in &deltas[cursor..cursor + appended] {
-                                c = values.push(c, *v);
-                            }
-                            cursor += appended;
-                            Side::Inc { state, chain: c }
-                        }
-                        _ => Side::Full,
-                    };
-                    next.sides.push(side);
+                    let ChildSide { state, appended } =
+                        child_sides.next().expect("2a sides per child");
+                    let mut chain = p.chain;
+                    for v in &deltas[cursor..cursor + appended] {
+                        chain = values.push(chain, *v);
+                    }
+                    cursor += appended;
+                    next.sides.push(Side { state, chain });
                 }
             }
         }
@@ -785,12 +679,7 @@ fn run(desc: &Description, alphabet: &Alphabet, opts: EnumOptions) -> (Enumerati
                 out.dead_ends.push(Trace::finite(events.items(trace)));
             }
             for &(ev, child) in &children[m.edges.clone()] {
-                let chain = events.push(trace, ev);
-                next.tree.push((chain, child));
-                let rep = &mut next.reps[child as usize];
-                if *rep == ChainId::EMPTY {
-                    *rep = chain;
-                }
+                next.tree.push((events.push(trace, ev), child));
             }
         }
         nodes.clear();
@@ -970,9 +859,9 @@ mod tests {
     }
 
     #[test]
-    fn ticks_infinite_rhs_falls_back_and_matches() {
-        // t_bar() is the infinite constant T̄ — no delta support on that
-        // side, exercising the Full fallback path.
+    fn ticks_infinite_rhs_reads_cyclically_and_matches() {
+        // t_bar() is the infinite constant T̄: the right side is its own
+        // value, read cyclically past its stored prefix and cycle.
         let ticks = Description::new("ticks").defines(b(), SeqExpr::concat([Value::tt()], ch(b())));
         let alpha = Alphabet::new().with_chan(b(), [Value::tt()]);
         check_against_seed(

@@ -16,7 +16,8 @@
 //! 2. at each cycle boundary the equation's state is keyed: both
 //!    machines' [`state_key`](eqp_seqfn::CompiledDeltaState::state_key)s
 //!    plus `g`'s unmatched surplus over `f` (for an infinite constant
-//!    `g`, `f`'s offset into it, reduced modulo the constant's cycle);
+//!    `g`, `f`'s offset into it, reduced modulo the constant's cycle —
+//!    the same reduction a machine keys a constant nested in it by);
 //! 3. the input after every boundary is the same `c^ω`, so when a key
 //!    repeats, every later obligation repeats one already discharged: the
 //!    repeat is a proof. Two weaker repeats prove too: `f`'s machine
@@ -30,7 +31,7 @@
 //!
 //! An equation with no such repeat within a fixed cycle budget (a tick
 //! counter on an all-`T` cycle counts without bound) or with no key (a
-//! custom function without an encoding, a non-incremental side) is
+//! custom function without a state encoding) is
 //! [`Smoothness::Unproven`]: it never passes.
 //!
 //! No fixed depth certifies a lasso. The constants inside an expression —
@@ -41,9 +42,9 @@
 use crate::description::{tuple_leq, Description};
 use crate::diagnose::SmoothnessViolation;
 use eqp_seqfn::compile::{key_seq, step_check};
-use eqp_seqfn::{CompiledExpr, CompiledSideEval};
+use eqp_seqfn::CompiledSideEval;
 use eqp_trace::lasso::Length;
-use eqp_trace::{Event, Seq, Trace};
+use eqp_trace::{Event, Trace};
 
 /// The limit condition `f(t) = g(t)` — exact for finite and lasso traces.
 pub fn limit_holds(desc: &Description, t: &Trace) -> bool {
@@ -234,49 +235,10 @@ fn violation(desc: &Description, t: &Trace, n: usize, k: usize) -> Smoothness {
     })
 }
 
-/// An equation side as the walk starts it: the compiled evaluator at `ε`,
-/// or an infinite constant's value. Built once per description, by its
-/// first walk ([`Description::walk_sides`]), so a walk only clones the
-/// evaluators it steps.
-#[derive(Debug, Clone)]
-pub(crate) enum StartSide {
-    Eval(CompiledSideEval),
-    Const(Seq),
-}
-
-impl StartSide {
-    pub(crate) fn new(e: &CompiledExpr) -> StartSide {
-        if e.is_const() {
-            let c = e.eval(&Trace::empty());
-            if c.is_infinite() {
-                return StartSide::Const(c);
-            }
-        }
-        StartSide::Eval(CompiledSideEval::new(e))
-    }
-}
-
-/// One side of an equation as the walk drives it.
-enum Side<'a> {
-    /// A compiled evaluator: incremental, or re-evaluating when opaque.
-    Eval(CompiledSideEval),
-    /// An infinite constant (`trues`, `falses`, …): no machine, no state.
-    Const(&'a Seq),
-}
-
-impl<'a> Side<'a> {
-    fn start(s: &'a StartSide) -> Side<'a> {
-        match s {
-            StartSide::Eval(e) => Side::Eval(e.clone()),
-            StartSide::Const(c) => Side::Const(c),
-        }
-    }
-}
-
 /// One component equation `f ⟸ g` on the walk.
-struct Equation<'a> {
-    f: Side<'a>,
-    g: Side<'a>,
+struct Equation {
+    f: CompiledSideEval,
+    g: CompiledSideEval,
     /// `f` positions already matched (see [`step_check`]).
     verified: usize,
     /// `f` reads no channel of the cycle, so past the prefix its value is
@@ -294,18 +256,13 @@ struct Equation<'a> {
     proved: bool,
 }
 
-impl<'a> Equation<'a> {
-    fn new([f, g]: &'a [StartSide; 2], cycle: &[Event]) -> Equation<'a> {
-        let f = Side::start(f);
-        let f_still = match &f {
-            Side::Const(_) => true,
-            Side::Eval(e) => !cycle.iter().any(|ev| e.reads(ev.chan)),
-        };
+impl Equation {
+    fn new([f, g]: &[CompiledSideEval; 2], cycle: &[Event]) -> Equation {
         Equation {
-            f,
-            g: Side::start(g),
+            f_still: !cycle.iter().any(|ev| f.reads(ev.chan)),
+            f: f.clone(),
+            g: g.clone(),
             verified: 0,
-            f_still,
             saved: Vec::new(),
             mark: Mark::default(),
             lam: 0,
@@ -318,34 +275,10 @@ impl<'a> Equation<'a> {
     /// Steps both sides over `ev` (from `u` into `v`) and checks
     /// `f(v) ⊑ g(u)`.
     fn step(&mut self, ev: Event) -> bool {
-        let frozen = match &self.g {
-            Side::Eval(g) => Some(g.freeze()),
-            Side::Const(_) => None,
-        };
-        if let Side::Eval(f) = &mut self.f {
-            f.step(ev);
-        }
-        if let Side::Eval(g) = &mut self.g {
-            g.step(ev);
-        }
-        match (&self.f, &self.g) {
-            (Side::Eval(f), Side::Eval(g)) => {
-                let frozen = frozen.expect("an evaluator side is frozen");
-                step_check(f, g, &frozen, &mut self.verified)
-            }
-            (Side::Eval(CompiledSideEval::Delta { out, .. }), Side::Const(c)) => {
-                let ok = (self.verified..out.len()).all(|i| c.get(i) == Some(&out[i]));
-                if ok {
-                    self.verified = out.len();
-                }
-                ok
-            }
-            (Side::Eval(f), Side::Const(c)) => f.value().leq(c),
-            (Side::Const(c), Side::Eval(g)) => {
-                c.leq(&g.frozen_value(&frozen.expect("an evaluator side is frozen")))
-            }
-            (Side::Const(a), Side::Const(b)) => a.leq(b),
-        }
+        let frozen = self.g.freeze();
+        self.f.step(ev);
+        self.g.step(ev);
+        step_check(&self.f, &self.g, &frozen, &mut self.verified)
     }
 
     /// Writes the equation's boundary key into `key`: `f`'s machine key,
@@ -353,43 +286,35 @@ impl<'a> Equation<'a> {
     /// key.
     fn key(&self, key: &mut Vec<u8>) -> Option<Mark> {
         key.clear();
-        let Side::Eval(CompiledSideEval::Delta { state, out: fo }) = &self.f else {
-            return None;
-        };
-        if !state.state_key(key) {
+        if !self.f.state().state_key(key) {
             return None;
         }
         let mut mark = Mark {
             f_key: key.len(),
-            f_len: fo.len(),
+            f_len: self.f.delta_out().len(),
             ..Mark::default()
         };
-        match &self.g {
-            Side::Eval(CompiledSideEval::Delta { state, out: go }) => {
-                // `|f| ≤ |g|` after every passed check; only the unchecked
-                // start can break it, and then the first check fails.
-                let Some(surplus) = go.get(mark.f_len..) else {
-                    return Some(mark);
-                };
-                mark.full = state.state_key(key);
-                mark.machines = key.len();
-                mark.surplus = surplus.len();
-                key_seq(surplus, key);
-            }
-            Side::Const(c) => {
-                // f's next match is at offset |f| into the constant, which
-                // repeats with the constant's cycle.
-                let p = c.prefix().len();
-                let at = match mark.f_len.checked_sub(p) {
-                    Some(past) => p + past % c.cycle().len(),
-                    None => mark.f_len,
-                };
-                mark.full = true;
-                mark.machines = key.len();
-                key.extend_from_slice(&(at as u64).to_le_bytes());
-            }
-            Side::Eval(CompiledSideEval::Opaque { .. }) => {}
+        if self.g.cycle() > 0 {
+            // f's next match is at offset |f| into the constant, which
+            // repeats with the constant's cycle.
+            let at = self
+                .g
+                .position(mark.f_len)
+                .expect("a cycle has every position");
+            mark.full = self.g.state().state_key(key);
+            mark.machines = key.len();
+            key.extend_from_slice(&(at as u64).to_le_bytes());
+            return Some(mark);
         }
+        // `|f| ≤ |g|` after every passed check; only the unchecked start
+        // can break it, and then the first check fails.
+        let Some(surplus) = self.g.delta_out().get(mark.f_len..) else {
+            return Some(mark);
+        };
+        mark.full = self.g.state().state_key(key);
+        mark.machines = key.len();
+        mark.surplus = surplus.len();
+        key_seq(surplus, key);
         Some(mark)
     }
 
@@ -461,7 +386,7 @@ mod tests {
     use eqp_seqfn::paper::{
         ch, count_ticks, even, odd, prepend_int, true_filter, trues, twice, twice_plus_one,
     };
-    use eqp_seqfn::SeqExpr;
+    use eqp_seqfn::{SeqExpr, ValueZip};
     use eqp_trace::{Chan, Event, Trace, Value};
 
     fn b() -> Chan {
@@ -756,6 +681,40 @@ mod tests {
         // a constant on the left can never be justified by finite input
         let desc = Description::new("rev").equation(trues(), true_filter(ch(b())));
         assert!(matches!(smoothness(&desc, &fair), Smoothness::Violation(_)));
+    }
+
+    /// An infinite constant nested under a zip is read through a cyclic
+    /// offset, which the machine's key holds. `b ⟸ T; zip(and, b, trues)`
+    /// over `(b,T)^ω` ticks through the constant: `g` leads `f` by one `T`
+    /// at every boundary and the offset stays 0, so the key repeats at the
+    /// second boundary, one event in. With `(T T T F)^ω` the offset
+    /// reaches the `F`, and the fifth tick has no justification.
+    #[test]
+    fn nested_infinite_constant_is_keyed_by_its_offset() {
+        let ticking = |k: SeqExpr| {
+            let zip = SeqExpr::Zip(ValueZip::And, Box::new(ch(b())), Box::new(k));
+            Description::new("nested").defines(b(), SeqExpr::concat([Value::tt()], zip))
+        };
+        let t = Trace::lasso([], [Event::bit(b(), true)]);
+        let desc = ticking(trues());
+        assert!(limit_holds(&desc, &t));
+        assert_eq!(smoothness(&desc, &t), Smoothness::Smooth);
+        // the oracle at 64× the depth of the repeat finds nothing
+        assert_eq!(smoothness_violation(&desc, &t, 64), None);
+        let desc = ticking(SeqExpr::constant(eqp_trace::Lasso::repeat([
+            Value::tt(),
+            Value::tt(),
+            Value::tt(),
+            Value::ff(),
+        ])));
+        let Smoothness::Violation(w) = smoothness(&desc, &t) else {
+            panic!("the F in the constant stops the ticks");
+        };
+        assert_eq!(w.v, t.take(5));
+        assert_eq!(
+            smoothness_violation(&desc, &t, 64),
+            Some((w.u.clone(), w.v.clone()))
+        );
     }
 
     #[test]

@@ -4,18 +4,17 @@
 //! same solutions, dead ends, frontier, visit count, and truncation flag,
 //! all in the same order.
 //!
-//! The generated descriptions deliberately mix delta-supported sides with
-//! sides the incremental evaluator cannot handle (infinite constants), so
-//! both the fast path and the full-re-evaluation fallback are exercised,
-//! as are budget expiries in the middle of a BFS level. They also cover
-//! every machine shape the engine treats differently: stateless chains
-//! (shared between nodes), stateful chains (`TakeWhile`, `CountTicks`,
-//! `Skip`, `EmitFirstAfter`), general graphs with zip and oracle-select
-//! surplus buffers, and a custom function with its own incremental state —
-//! over integer and bit alphabets. A custom function over two channels
-//! whose value depends on how their events interleave (with and without
-//! the incremental hook) checks that such descriptions are keyed by the
-//! whole trace, not by per-channel histories. A third property keeps
+//! The generated descriptions mix stepping sides with infinite constants,
+//! which the engine reads cyclically — on the right, nested under a zip or
+//! an oracle select, and alone on the left — and they hit budget expiries
+//! in the middle of a BFS level. They also cover every machine shape the
+//! engine treats differently: stateless chains (shared between nodes),
+//! stateful chains (`TakeWhile`, `CountTicks`, `Skip`, `EmitFirstAfter`),
+//! general graphs with zip and oracle-select surplus buffers, and a custom
+//! function with its own incremental state — over integer and bit
+//! alphabets. A custom function over two channels whose value depends on
+//! how their events interleave checks that such descriptions are keyed by
+//! the whole trace, not by per-channel histories. A third property keeps
 //! only cases where per-channel keys decide the result: every alphabet
 //! channel is read, the key has a slot per channel, and the seed tree is
 //! not uniform (some visited node is not a solution).
@@ -74,26 +73,24 @@ impl SeqFunction for RunningCount {
         "running-count"
     }
 
-    fn delta_init(&self) -> Option<(Box<dyn CustomDeltaState>, Vec<Value>)> {
-        Some((
+    fn delta_init(&self) -> (Box<dyn CustomDeltaState>, Vec<Value>) {
+        (
             Box::new(RunningCountState {
                 chan: self.0,
                 seen: 0,
             }),
             Vec::new(),
-        ))
+        )
     }
 }
 
 /// Custom function over two channels whose value is the sequence of
 /// channel tags (`Int(index)`) of the events on either, in trace order: two
 /// traces with the same per-channel histories but different
-/// interleavings evaluate differently. With `incremental`, it has the
-/// delta hook; without, the engine re-evaluates it from the trace.
+/// interleavings evaluate differently.
 #[derive(Debug)]
 struct Tags {
     chans: [Chan; 2],
-    incremental: bool,
 }
 
 #[derive(Debug)]
@@ -132,30 +129,25 @@ impl SeqFunction for Tags {
         "tags"
     }
 
-    fn delta_init(&self) -> Option<(Box<dyn CustomDeltaState>, Vec<Value>)> {
-        self.incremental.then(|| {
-            (
-                Box::new(TagsState(self.chans)) as Box<dyn CustomDeltaState>,
-                Vec::new(),
-            )
-        })
+    fn delta_init(&self) -> (Box<dyn CustomDeltaState>, Vec<Value>) {
+        (Box::new(TagsState(self.chans)), Vec::new())
     }
 }
 
 /// A random continuous expression over the three pooled channels —
-/// including delta-unsupported infinite constants.
+/// including infinite constants.
 fn arb_expr() -> impl Strategy<Value = SeqExpr> {
     let leaf = prop_oneof![
         (0u32..3).prop_map(|i| ch(chan_pool()[i as usize])),
         Just(SeqExpr::epsilon()),
         proptest::collection::vec(-1i64..3, 0..3).prop_map(SeqExpr::const_ints),
-        // Infinite constant: forces the engine's full-evaluation fallback.
+        // Infinite constant: read cyclically, alone or under a zip.
         (-1i64..3).prop_map(|n| SeqExpr::constant(Lasso::repeat(vec![Value::Int(n)]))),
         (0u32..3).prop_map(|i| SeqExpr::custom(Arc::new(RunningCount(chan_pool()[i as usize])))),
-        (0u32..3, 1u32..3, any::<bool>()).prop_map(|(i, step, incremental)| {
+        (0u32..3, 1u32..3).prop_map(|(i, step)| {
             let pool = chan_pool();
             let chans = [pool[i as usize], pool[((i + step) % 3) as usize]];
-            SeqExpr::custom(Arc::new(Tags { chans, incremental }))
+            SeqExpr::custom(Arc::new(Tags { chans }))
         }),
     ];
     leaf.prop_recursive(3, 16, 2, |inner| {
@@ -280,7 +272,6 @@ proptest! {
     fn interleaving_dependent_custom_matches_seed(
         first in 0u32..3,
         step in 1u32..3,
-        incremental in any::<bool>(),
         paired in any::<bool>(),
         extra in arb_description(),
         width in 0i64..2,
@@ -290,7 +281,7 @@ proptest! {
         let pool = chan_pool();
         let (a, b) = (pool[first as usize], pool[((first + step) % 3) as usize]);
         let x = pool[(3 - first - (first + step) % 3) as usize];
-        let tags = SeqExpr::custom(Arc::new(Tags { chans: [a, b], incremental }));
+        let tags = SeqExpr::custom(Arc::new(Tags { chans: [a, b] }));
         let mut desc = Description::new("tags").equation(ch(x), tags);
         if paired {
             desc = desc.paired_with(&extra);

@@ -13,7 +13,7 @@
 use crate::process::{Process, StepCtx, StepResult};
 use crate::snapshot::StateCell;
 use eqp_seqfn::{CompiledDeltaState, CompiledExpr, SeqExpr, ValuePred};
-use eqp_trace::{Chan, Event, Value};
+use eqp_trace::{Chan, Event, Trace, Value};
 
 /// A process that computes a [`SeqExpr`] over its input channels and
 /// emits the expression's value on its output channel.
@@ -47,20 +47,21 @@ impl ExprProc {
     ///
     /// # Panics
     ///
-    /// Panics if the expression has no incremental evaluation
-    /// ([`CompiledExpr::delta_init`] returns `None` — e.g. an infinite
-    /// constant) or if `output` occurs in the expression. `eqp-netlang`
-    /// validates both at the trust boundary before construction; direct
-    /// callers must uphold them.
+    /// Panics if the expression's value on the empty trace is infinite (an
+    /// infinite constant, which no process can emit) or if `output` occurs
+    /// in the expression. `eqp-netlang` validates both at the trust
+    /// boundary before construction; direct callers must uphold them.
     pub fn new(name: impl Into<String>, output: Chan, expr: &SeqExpr) -> ExprProc {
         let compiled = expr.compile();
         assert!(
             !compiled.channels().contains(output),
             "ExprProc output must not occur in its expression"
         );
-        let (delta, init) = compiled
-            .delta_init()
-            .expect("ExprProc requires an incrementally evaluable expression");
+        assert!(
+            compiled.eval(&Trace::empty()).is_finite(),
+            "ExprProc cannot emit an infinite value on the empty trace"
+        );
+        let (delta, init) = compiled.delta_init();
         let inputs: Vec<Chan> = compiled.channels().iter().collect();
         ExprProc {
             name: name.into(),
@@ -76,10 +77,7 @@ impl ExprProc {
 
     /// Re-derives the delta evaluator from the log (restore/reset path).
     fn replay(&mut self, log: &[Event]) {
-        let (mut delta, init) = self
-            .compiled
-            .delta_init()
-            .expect("delta_init succeeded at construction");
+        let (mut delta, init) = self.compiled.delta_init();
         let mut sink = Vec::new();
         for ev in log {
             delta.step_into(*ev, &mut sink);
@@ -342,9 +340,28 @@ mod tests {
 
     #[test]
     fn expr_proc_rejects_infinite_constant() {
-        let _c = Chan::new(1);
         let expr = SeqExpr::Const(Lasso::repeat([Value::Int(1)]));
-        let compiled = expr.compile();
-        assert!(compiled.delta_init().is_none());
+        assert!(expr.compile().eval(&Trace::empty()).is_infinite());
+        let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            ExprProc::new("inf", Chan::new(1), &expr)
+        }));
+        assert!(built.is_err(), "an infinite constant cannot be emitted");
+        // nested under a zip it is read cyclically, and the process runs
+        let zipped = SeqExpr::add(
+            SeqExpr::chan(Chan::new(0)),
+            SeqExpr::Const(Lasso::repeat([Value::Int(1), Value::Int(10)])),
+        );
+        let mut net = Network::new();
+        net.add(Source::new(
+            "src",
+            Chan::new(0),
+            [Value::Int(1), Value::Int(2), Value::Int(3)],
+        ));
+        net.add(ExprProc::new("zip", Chan::new(1), &zipped));
+        let run = net.run(&mut RoundRobin::new(), RunOptions::default());
+        assert_eq!(
+            run.trace.seq_on(Chan::new(1)).take(10),
+            vec![Value::Int(2), Value::Int(12), Value::Int(4)]
+        );
     }
 }

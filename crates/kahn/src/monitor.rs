@@ -21,10 +21,10 @@
 //! so the trace is never walked a second time — and a violating run can
 //! stop at the offending event.
 //!
-//! Sides without an incremental hook (infinite constants, hookless
-//! `Custom` functions) transparently fall back to full re-evaluation per
-//! event, as the enumeration engine's sides do — correctness never
-//! depends on the fast path being available.
+//! Every side is a machine: a `Custom` function steps through its
+//! `delta_init` hook, and an infinite constant (`trues`, `falses`) is its
+//! own value, read cyclically — so no side is ever re-evaluated and a
+//! pair against a constant costs the same O(1) per event as any other.
 //!
 //! The monitor produces the *same* [`SmoothReport`] / [`Conformance`] /
 //! [`Verdict`] as the post-hoc path: violations are recorded in the same
@@ -82,16 +82,12 @@ impl PairState {
     fn new(f: &CompiledExpr, g: &CompiledExpr) -> PairState {
         let f = CompiledSideEval::new(f);
         let g = CompiledSideEval::new(g);
-        // `⊑` is prefix order, so on incremental sides the base case is a
-        // slice compare on the bottom outputs — no `Seq` materialization.
-        let base_ok = match (f.delta_out(), g.delta_out()) {
-            (Some(fo), Some(go)) => fo.len() <= go.len() && *fo == go[..fo.len()],
-            _ => f.value().leq(&g.value()),
-        };
+        let mut verified = 0;
+        let base_ok = step_check(&f, &g, &g.freeze(), &mut verified);
         PairState {
             f,
             g,
-            verified: 0,
+            verified,
             base_ok,
         }
     }
@@ -199,8 +195,6 @@ struct Routing {
     /// Pairs whose base case `f(ε) ⊑ g(ε)` fails: their check must run on
     /// every event, read or not, so the first one can fail.
     unbased: Vec<usize>,
-    /// Every side of every pair runs on the incremental path.
-    incremental: bool,
 }
 
 impl Routing {
@@ -230,9 +224,6 @@ impl Routing {
             pair_slots,
             readers,
             unbased: (0..pairs.len()).filter(|&k| !pairs[k].base_ok).collect(),
-            incremental: pairs
-                .iter()
-                .all(|p| p.f.is_incremental() && p.g.is_incremental()),
         }
     }
 }
@@ -303,12 +294,6 @@ impl SmoothnessMonitor {
         self.events.len()
     }
 
-    /// True iff every side of every component equation is running on the
-    /// incremental fast path (no full re-evaluation per event).
-    pub fn fully_incremental(&self) -> bool {
-        self.routing.incremental
-    }
-
     /// The first smoothness violation's component index, if one has been
     /// observed.
     pub fn violation_component(&self) -> Option<usize> {
@@ -376,8 +361,8 @@ impl SmoothnessMonitor {
     /// the first violation is selected by minimal `(event index,
     /// component index)`.
     ///
-    /// Large fully-incremental batches (the engine's lazy Observe drain)
-    /// take a fused fast path in O(batch + equations + visible channels)
+    /// Large batches (the engine's lazy Observe drain) take a fused fast
+    /// path in O(batch + equations + visible channels)
     /// plus O(1) amortized per (event, reading pair): the batch is
     /// projected and bucketed by channel once, and each pair steps only
     /// the merged, in-order events of the channels its sides read (a
@@ -391,7 +376,7 @@ impl SmoothnessMonitor {
     /// per-event replay from a pre-batch snapshot to recover the precise
     /// first violation.
     pub fn feed_batch(&mut self, evs: &[Event]) -> Option<usize> {
-        if evs.len() >= 8 && self.fully_incremental() {
+        if evs.len() >= 8 {
             return self.feed_batch_fused(evs);
         }
         let mut aborted = None;
@@ -403,8 +388,7 @@ impl SmoothnessMonitor {
         aborted
     }
 
-    /// The fused batch drain. Requires every side on the incremental
-    /// path (`delta_out` available).
+    /// The fused batch drain.
     fn feed_batch_fused(&mut self, evs: &[Event]) -> Option<usize> {
         let routing = &*self.routing;
         let start = self.events.len();
@@ -462,16 +446,10 @@ impl SmoothnessMonitor {
             if !checking {
                 continue;
             }
-            let fo = pair.f.delta_out().unwrap_or(&[]);
-            let go = pair.g.delta_out().unwrap_or(&[]);
-            if lengths_ok
-                && fo.len() <= go.len()
-                && fo[pair.verified..] == go[pair.verified..fo.len()]
-            {
-                pair.verified = fo.len();
-            } else {
-                clean = false;
-            }
+            // The deferred value half: `f`'s appended tail against `g`'s
+            // output at batch end.
+            let frozen = pair.g.freeze();
+            clean &= lengths_ok && step_check(&pair.f, &pair.g, &frozen, &mut pair.verified);
         }
         if !checking || clean {
             return None;
@@ -733,11 +711,5 @@ mod tests {
         assert!(events.len() >= 8, "long enough for the fused drain");
         batched.feed_batch(&events);
         assert_eq!(batched.report(), exact.report());
-    }
-
-    #[test]
-    fn dfm_runs_fully_incremental() {
-        let m = SmoothnessMonitor::new(&dfm(), None, MonitorPolicy::Observe);
-        assert!(m.fully_incremental());
     }
 }

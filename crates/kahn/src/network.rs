@@ -670,8 +670,10 @@ struct Engine<'a> {
     /// checkpointing).
     checkpoint_at: Option<usize>,
     captured: Option<Checkpoint>,
-    /// Process indices not yet offered a step this round.
-    pending: VecDeque<usize>,
+    /// The round's order, refilled in place by [`Scheduler::round`]; the
+    /// processes from `next` on have not been offered a step yet.
+    order: Vec<usize>,
+    next: usize,
     /// Whether anything progressed in the round in flight.
     round_progressed: bool,
     /// Online smoothness monitor (monitored runs only).
@@ -748,7 +750,8 @@ impl<'a> Engine<'a> {
             escalated: None,
             checkpoint_at: None,
             captured: None,
-            pending: VecDeque::new(),
+            order: Vec::new(),
+            next: 0,
             round_progressed: false,
             monitor: None,
             abort_armed: false,
@@ -847,7 +850,8 @@ impl<'a> Engine<'a> {
         self.counters = ckpt.counters;
         self.steps = ckpt.steps;
         self.rounds = ckpt.rounds;
-        self.pending = ckpt.pending_round;
+        self.order = ckpt.pending_round.into();
+        self.next = 0;
         self.round_progressed = ckpt.round_progressed;
         // the captured monitor observed exactly the captured trace (the
         // engine drains before every capture), so certification resumes
@@ -872,12 +876,14 @@ impl<'a> Engine<'a> {
         let n = self.procs.len();
         self.maybe_capture(&*sched);
         loop {
-            if self.pending.is_empty() {
-                self.pending = sched.round(n).into_iter().collect();
+            if self.next == self.order.len() {
+                sched.round(n, &mut self.order);
+                self.next = 0;
                 self.round_progressed = false;
                 self.round_blocked = None;
             }
-            while let Some(i) = self.pending.pop_front() {
+            while let Some(&i) = self.order.get(self.next) {
+                self.next += 1;
                 if self.steps >= self.max_steps {
                     return self.finish_at_bound();
                 }
@@ -1421,7 +1427,8 @@ impl<'a> Engine<'a> {
         // A capture at the last slot of a round stores the end-of-round
         // state: resume refills a fresh round immediately, so the
         // in-flight round's counter increment would otherwise be lost.
-        let round_done = self.steps > 0 && self.pending.is_empty();
+        let pending = &self.order[self.next..];
+        let round_done = self.steps > 0 && pending.is_empty();
         Checkpoint {
             steps: self.steps,
             rounds: if round_done {
@@ -1436,7 +1443,7 @@ impl<'a> Engine<'a> {
             counters: self.counters.clone(),
             processes: self.procs.iter().map(|p| p.snapshot()).collect(),
             scheduler: sched.snapshot(),
-            pending_round: self.pending.clone(),
+            pending_round: pending.iter().copied().collect(),
             round_progressed: if round_done {
                 false
             } else {

@@ -22,9 +22,10 @@ use rand::{RngExt, SeedableRng};
 
 /// Orders process indices for one scheduling round.
 pub trait Scheduler {
-    /// Returns the order in which the `n` processes should be offered a
-    /// step this round.
-    fn round(&mut self, n: usize) -> Vec<usize>;
+    /// Writes into `order`, replacing its contents, the order in which the
+    /// `n` processes should be offered a step this round. The caller owns
+    /// the buffer, so a run reuses one allocation for every round.
+    fn round(&mut self, n: usize, order: &mut Vec<usize>);
 
     /// Diagnostic name.
     fn name(&self) -> &str {
@@ -50,8 +51,8 @@ pub trait Scheduler {
 }
 
 impl<S: Scheduler + ?Sized> Scheduler for Box<S> {
-    fn round(&mut self, n: usize) -> Vec<usize> {
-        (**self).round(n)
+    fn round(&mut self, n: usize, order: &mut Vec<usize>) {
+        (**self).round(n, order)
     }
 
     fn name(&self) -> &str {
@@ -68,8 +69,8 @@ impl<S: Scheduler + ?Sized> Scheduler for Box<S> {
 }
 
 impl<S: Scheduler + ?Sized> Scheduler for &mut S {
-    fn round(&mut self, n: usize) -> Vec<usize> {
-        (**self).round(n)
+    fn round(&mut self, n: usize, order: &mut Vec<usize>) {
+        (**self).round(n, order)
     }
 
     fn name(&self) -> &str {
@@ -100,13 +101,14 @@ impl RoundRobin {
 }
 
 impl Scheduler for RoundRobin {
-    fn round(&mut self, n: usize) -> Vec<usize> {
+    fn round(&mut self, n: usize, order: &mut Vec<usize>) {
+        order.clear();
         if n == 0 {
-            return Vec::new();
+            return;
         }
         let start = self.offset % n;
         self.offset = self.offset.wrapping_add(1);
-        (0..n).map(|i| (start + i) % n).collect()
+        order.extend((start..n).chain(0..start));
     }
 
     fn name(&self) -> &str {
@@ -145,10 +147,10 @@ impl RandomSched {
 }
 
 impl Scheduler for RandomSched {
-    fn round(&mut self, n: usize) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..n).collect();
+    fn round(&mut self, n: usize, order: &mut Vec<usize>) {
+        order.clear();
+        order.extend(0..n);
         order.shuffle(&mut self.rng);
-        order
     }
 
     fn name(&self) -> &str {
@@ -193,15 +195,15 @@ impl Adversarial {
 }
 
 impl Scheduler for Adversarial {
-    fn round(&mut self, n: usize) -> Vec<usize> {
+    fn round(&mut self, n: usize, order: &mut Vec<usize>) {
         if self.burst_left == 0 || self.order.len() != n {
-            let mut order: Vec<usize> = (0..n).collect();
-            order.shuffle(&mut self.rng);
-            self.order = order;
+            self.order.clear();
+            self.order.extend(0..n);
+            self.order.shuffle(&mut self.rng);
             self.burst_left = 1 + (self.rng.random_range(0..16usize));
         }
         self.burst_left -= 1;
-        self.order.clone()
+        order.clone_from(&self.order);
     }
 
     fn name(&self) -> &str {
@@ -236,13 +238,20 @@ impl Scheduler for Adversarial {
 mod tests {
     use super::*;
 
+    /// One round's order, in a fresh buffer.
+    fn round<S: Scheduler>(s: &mut S, n: usize) -> Vec<usize> {
+        let mut order = vec![99];
+        s.round(n, &mut order);
+        order
+    }
+
     #[test]
     fn round_robin_rotates() {
         let mut s = RoundRobin::new();
-        assert_eq!(s.round(3), vec![0, 1, 2]);
-        assert_eq!(s.round(3), vec![1, 2, 0]);
-        assert_eq!(s.round(3), vec![2, 0, 1]);
-        assert_eq!(s.round(0), Vec::<usize>::new());
+        assert_eq!(round(&mut s, 3), vec![0, 1, 2]);
+        assert_eq!(round(&mut s, 3), vec![1, 2, 0]);
+        assert_eq!(round(&mut s, 3), vec![2, 0, 1]);
+        assert_eq!(round(&mut s, 0), Vec::<usize>::new());
         assert_eq!(s.name(), "round-robin");
     }
 
@@ -250,7 +259,7 @@ mod tests {
     fn random_is_permutation() {
         let mut s = RandomSched::new(42);
         for _ in 0..10 {
-            let mut r = s.round(5);
+            let mut r = round(&mut s, 5);
             r.sort_unstable();
             assert_eq!(r, vec![0, 1, 2, 3, 4]);
         }
@@ -261,11 +270,11 @@ mod tests {
     fn random_is_reproducible() {
         let a: Vec<Vec<usize>> = {
             let mut s = RandomSched::new(7);
-            (0..5).map(|_| s.round(4)).collect()
+            (0..5).map(|_| round(&mut s, 4)).collect()
         };
         let b: Vec<Vec<usize>> = {
             let mut s = RandomSched::new(7);
-            (0..5).map(|_| s.round(4)).collect()
+            (0..5).map(|_| round(&mut s, 4)).collect()
         };
         assert_eq!(a, b);
     }
@@ -276,12 +285,12 @@ mod tests {
         // freshly constructed twin, continues with identical rounds
         fn roundtrip<S: Scheduler>(mut live: S, mut fresh: S) {
             for _ in 0..7 {
-                let _ = live.round(5);
+                let _ = round(&mut live, 5);
             }
             let cell = live.snapshot().expect("built-in schedulers are hooked");
             assert!(fresh.restore(&cell));
             for _ in 0..10 {
-                assert_eq!(fresh.round(5), live.round(5));
+                assert_eq!(round(&mut fresh, 5), round(&mut live, 5));
             }
         }
         roundtrip(RoundRobin::new(), RoundRobin::new());
@@ -296,7 +305,7 @@ mod tests {
     fn adversarial_bursts_are_permutations() {
         let mut s = Adversarial::new(3);
         for _ in 0..40 {
-            let mut r = s.round(4);
+            let mut r = round(&mut s, 4);
             r.sort_unstable();
             assert_eq!(r, vec![0, 1, 2, 3]);
         }

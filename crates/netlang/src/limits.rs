@@ -132,9 +132,9 @@ pub enum NetError {
         /// Human-readable bound, e.g. `"1..=4096"`.
         bound: String,
     },
-    /// An `expr` process's expression cannot run incrementally (it never
-    /// produces output from finite input, e.g. an infinite constant fed
-    /// nowhere).
+    /// An `expr` process's expression cannot run as a process: it reads
+    /// its own output channel, or it is an infinite constant, which no
+    /// finite run can emit.
     NotIncremental {
         /// 1-based source line.
         line: usize,

@@ -32,7 +32,7 @@
 use std::collections::{HashMap, HashSet};
 
 use eqp_seqfn::{SeqExpr, ValueMap, ValuePred, ValueZip};
-use eqp_trace::{Chan, Lasso, Value};
+use eqp_trace::{Chan, Lasso, Trace, Value};
 
 use crate::limits::{NetError, NetLimits};
 use crate::program::{NetProgram, ProcDecl, ProcKind};
@@ -833,10 +833,10 @@ fn check_proc(
                 why: "expression reads its own output channel".into(),
             });
         }
-        if expr.compile().delta_init().is_none() {
+        if expr.compile().eval(&Trace::empty()).is_infinite() {
             return Err(NetError::NotIncremental {
                 line: cur.line,
-                why: "expression has no incremental evaluation (infinite constant?)".into(),
+                why: "expression is an infinite constant, which no process can emit".into(),
             });
         }
     } else if inputs.contains(&output) {
@@ -1114,6 +1114,27 @@ mod tests {
         let src = "chan b = 0\nproc p = expr b := loop([],[1])\n";
         let e = parse(src, &lim()).unwrap_err();
         assert!(matches!(e, NetError::NotIncremental { .. }), "{e}");
+    }
+
+    #[test]
+    fn nested_cyclic_constant_expr_proc_runs() {
+        let (a, b) = (Chan::new(0), Chan::new(1));
+        let src = "chan a = 0\nchan b = 1\nproc s = const a [1 2 3 4 5]\n\
+                   proc p = expr b := zip(add, a, loop([7],[1 10]))\n";
+        let p = parse(src, &lim()).unwrap();
+        let ProcKind::Expr { expr, .. } = &p.procs()[1].kind else {
+            panic!("an expr process");
+        };
+        let run = p.build(0).run(
+            &mut eqp_kahn::RoundRobin::new(),
+            eqp_kahn::RunOptions::default(),
+        );
+        assert_eq!(run.trace.seq_on(a).take(9).len(), 5);
+        assert_eq!(run.trace.seq_on(b), expr.eval(&run.trace));
+        assert_eq!(
+            run.trace.seq_on(b).take(9),
+            [8, 3, 13, 5, 15].map(Value::Int)
+        );
     }
 
     #[test]

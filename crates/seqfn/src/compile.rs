@@ -221,12 +221,14 @@ struct Program {
     /// Node count of the source tree (the pre-fusion instruction count a
     /// naive lowering would have emitted).
     source_size: usize,
-    /// Memoized machine state and output at the empty trace (`None` inside
-    /// when the program has no incremental hook), so every
+    /// The cycle length of an infinite constant program, 0 for every
+    /// other program (see [`CompiledExpr::cycle`]).
+    cycle: usize,
+    /// Memoized machine state and output at the empty trace, so every
     /// [`CompiledExpr::delta_init`] after the first is a clone rather than
     /// a re-derivation. Holds [`Repr`], not the full state, to avoid an
     /// `Arc` cycle back to the program.
-    bottom: OnceLock<Option<(Repr, Vec<Value>)>>,
+    bottom: OnceLock<(Repr, Vec<Value>)>,
 }
 
 impl Program {
@@ -367,34 +369,37 @@ impl CompiledExpr {
         s
     }
 
+    /// The length of the cycle of an infinite constant program, and 0 for
+    /// every other program. After folding, a program whose value at the
+    /// empty trace is infinite is exactly such a constant: it reads no
+    /// channel, so that value is its value on every trace.
+    pub fn cycle(&self) -> usize {
+        self.prog.cycle
+    }
+
     /// Builds the compiled incremental machine at the empty trace,
-    /// returning it plus the program's (finite) value at `⊥`.
+    /// returning it plus the program's value at `⊥`.
     ///
-    /// Returns `None` exactly when the program contains an infinite
-    /// constant or a hookless custom on a live path. Folding may first
-    /// collapse an infinite constant under `TakeWhile`/`CountTicks`/…
-    /// into a finite one, so only live infinite constants count.
-    pub fn delta_init(&self) -> Option<(CompiledDeltaState, Vec<Value>)> {
-        let bottom = self.prog.bottom.get_or_init(|| bottom_state(&self.prog));
-        let (repr, out) = bottom.as_ref()?;
-        Some((
+    /// That value is finite except for an infinite constant, whose prefix
+    /// and one cycle are returned; the cycle ([`CompiledExpr::cycle`])
+    /// repeats forever after them. An infinite constant nested under a
+    /// `Zip` or an `OracleSelect` is read through a cyclic offset, so every
+    /// other program steps like one without constants.
+    pub fn delta_init(&self) -> (CompiledDeltaState, Vec<Value>) {
+        let (repr, out) = self.prog.bottom.get_or_init(|| bottom_state(&self.prog));
+        (
             CompiledDeltaState {
                 prog: Arc::clone(&self.prog),
                 repr: repr.clone(),
             },
             out.clone(),
-        ))
-    }
-
-    /// True iff [`CompiledExpr::delta_init`] succeeds.
-    pub fn delta_supported(&self) -> bool {
-        self.delta_init().is_some()
+        )
     }
 }
 
 /// Derives the machine shape and root output at the empty trace — the
 /// computation behind [`CompiledExpr::delta_init`], memoized per program.
-fn bottom_state(p: &Program) -> Option<(Repr, Vec<Value>)> {
+fn bottom_state(p: &Program) -> (Repr, Vec<Value>) {
     {
         let n = p.insts.len();
         let mut slots: Vec<Slot> = Vec::with_capacity(n);
@@ -403,11 +408,10 @@ fn bottom_state(p: &Program) -> Option<(Repr, Vec<Value>)> {
             let (slot, out) = match *inst {
                 Inst::Chan(_) => (Slot::Pass, Vec::new()),
                 Inst::Const(k) => {
+                    // An infinite constant's parent reads it through a
+                    // `Feed::Cyclic`; only a root one keeps this output.
                     let s = &p.consts[k as usize];
-                    if !s.is_finite() {
-                        return None;
-                    }
-                    (Slot::Pass, s.prefix().to_vec())
+                    (Slot::Pass, [s.prefix(), s.cycle()].concat())
                 }
                 Inst::Concat { front, e } => {
                     let mut full = p.fronts[front as usize].clone();
@@ -432,10 +436,10 @@ fn bottom_state(p: &Program) -> Option<(Repr, Vec<Value>)> {
                     (Slot::Pass, out)
                 }
                 Inst::Zip { z, a, b } => {
-                    let mut pa: VecDeque<Value> = outs[a as usize].iter().copied().collect();
-                    let mut pb: VecDeque<Value> = outs[b as usize].iter().copied().collect();
+                    let mut pa = Feed::new(p, a, &outs[a as usize]);
+                    let mut pb = Feed::new(p, b, &outs[b as usize]);
                     let mut out = Vec::new();
-                    drain_zip(z, &mut pa, &mut pb, &mut out);
+                    drain_zip(&p.consts, z, &mut pa, &mut pb, &mut out);
                     (Slot::Zip { pa, pb }, out)
                 }
                 Inst::TakeWhile { p: pr, e } => {
@@ -451,10 +455,10 @@ fn bottom_state(p: &Program) -> Option<(Repr, Vec<Value>)> {
                     (Slot::Skip { remaining }, out)
                 }
                 Inst::OracleSelect { data, oracle, keep } => {
-                    let mut pd: VecDeque<Value> = outs[data as usize].iter().copied().collect();
-                    let mut po: VecDeque<Value> = outs[oracle as usize].iter().copied().collect();
+                    let mut pd = Feed::new(p, data, &outs[data as usize]);
+                    let mut po = Feed::new(p, oracle, &outs[oracle as usize]);
                     let mut out = Vec::new();
-                    drain_select(keep, &mut pd, &mut po, &mut out);
+                    drain_select(&p.consts, keep, &mut pd, &mut po, &mut out);
                     (Slot::Select { pd, po }, out)
                 }
                 Inst::CountTicks { e } => {
@@ -471,7 +475,7 @@ fn bottom_state(p: &Program) -> Option<(Repr, Vec<Value>)> {
                     (Slot::Emit(st), out)
                 }
                 Inst::Custom(k) => {
-                    let (st, out) = p.customs[k as usize].delta_init()?;
+                    let (st, out) = p.customs[k as usize].delta_init();
                     (Slot::Custom(st), out)
                 }
             };
@@ -486,7 +490,7 @@ fn bottom_state(p: &Program) -> Option<(Repr, Vec<Value>)> {
                 bufs: Vec::new(),
             },
         };
-        Some((repr, root_out))
+        (repr, root_out)
     }
 }
 
@@ -962,6 +966,20 @@ impl Builder {
         } else {
             source.channels()
         };
+        // Every one-input instruction folds a constant operand, and so do
+        // `Zip`/`OracleSelect` over two constants: a live infinite constant
+        // is the root or one operand of a two-input instruction, which
+        // reads it through a `Feed::Cyclic`.
+        debug_assert!(insts.iter().all(|inst| {
+            matches!(inst, Inst::Zip { .. } | Inst::OracleSelect { .. })
+                || inst.children().into_iter().flatten().all(|c| {
+                    !matches!(insts[c as usize], Inst::Const(k) if consts[k as usize].is_infinite())
+                })
+        }));
+        let cycle = match insts[..] {
+            [Inst::Const(k)] => consts[k as usize].cycle().len(),
+            _ => 0,
+        };
         Program {
             insts,
             support,
@@ -972,6 +990,7 @@ impl Builder {
             exact,
             channels,
             source_size: source.size(),
+            cycle,
             bottom: OnceLock::new(),
         }
     }
@@ -1023,33 +1042,102 @@ fn apply_filter_map(
     }
 }
 
-#[inline]
-fn drain_zip(
-    z: ValueZip,
-    pa: &mut VecDeque<Value>,
-    pb: &mut VecDeque<Value>,
-    out: &mut Vec<Value>,
-) {
-    while let (Some(x), Some(y)) = (pa.front(), pb.front()) {
-        out.push(z.apply(x, y));
-        pa.pop_front();
-        pb.pop_front();
+/// One operand of a [`Slot::Zip`] or [`Slot::Select`].
+#[derive(Debug)]
+enum Feed {
+    /// The values the operand delivered that the other operand has not
+    /// matched yet.
+    Buf(VecDeque<Value>),
+    /// An infinite constant (`consts[k]`), read at position `at`. Past the
+    /// prefix, `at` wraps back to the cycle's start, so it is the offset
+    /// reduced modulo the cycle: equal offsets read equal suffixes.
+    Cyclic { k: u32, at: usize },
+}
+
+impl Clone for Feed {
+    fn clone(&self) -> Feed {
+        match self {
+            Feed::Buf(q) => Feed::Buf(q.clone()),
+            Feed::Cyclic { k, at } => Feed::Cyclic { k: *k, at: *at },
+        }
+    }
+
+    /// Reuses `self`'s buffer allocation when both feeds buffer.
+    fn clone_from(&mut self, src: &Feed) {
+        match (self, src) {
+            (Feed::Buf(q), Feed::Buf(sq)) => q.clone_from(sq),
+            (me, src) => *me = src.clone(),
+        }
+    }
+}
+
+impl Feed {
+    /// The feed of operand `r`, which delivered `init` at the empty trace.
+    fn new(p: &Program, r: NodeRef, init: &[Value]) -> Feed {
+        match p.insts[r as usize] {
+            Inst::Const(k) if p.consts[k as usize].is_infinite() => Feed::Cyclic { k, at: 0 },
+            _ => Feed::Buf(init.iter().copied().collect()),
+        }
+    }
+
+    /// Takes the values the operand appended this step (none for a
+    /// constant).
+    #[inline]
+    fn extend(&mut self, vals: &[Value]) {
+        if let Feed::Buf(q) = self {
+            q.extend(vals.iter().copied());
+        }
+    }
+
+    #[inline]
+    fn front(&self, consts: &[Seq]) -> Option<Value> {
+        match self {
+            Feed::Buf(q) => q.front().copied(),
+            Feed::Cyclic { k, at } => consts[*k as usize].get(*at).copied(),
+        }
+    }
+
+    #[inline]
+    fn pop(&mut self, consts: &[Seq]) {
+        match self {
+            Feed::Buf(q) => {
+                q.pop_front();
+            }
+            Feed::Cyclic { k, at } => {
+                let c = &consts[*k as usize];
+                *at += 1;
+                if *at == c.prefix().len() + c.cycle().len() {
+                    *at = c.prefix().len();
+                }
+            }
+        }
+    }
+
+    fn key(&self, out: &mut Vec<u8>) {
+        match self {
+            Feed::Buf(q) => key_values(q.iter(), out),
+            Feed::Cyclic { at, .. } => key_usize(*at, out),
+        }
     }
 }
 
 #[inline]
-fn drain_select(
-    keep: bool,
-    pd: &mut VecDeque<Value>,
-    po: &mut VecDeque<Value>,
-    out: &mut Vec<Value>,
-) {
-    while let (Some(x), Some(y)) = (pd.front(), po.front()) {
-        if *y == Value::Bit(keep) {
-            out.push(*x);
+fn drain_zip(consts: &[Seq], z: ValueZip, pa: &mut Feed, pb: &mut Feed, out: &mut Vec<Value>) {
+    while let (Some(x), Some(y)) = (pa.front(consts), pb.front(consts)) {
+        out.push(z.apply(&x, &y));
+        pa.pop(consts);
+        pb.pop(consts);
+    }
+}
+
+#[inline]
+fn drain_select(consts: &[Seq], keep: bool, pd: &mut Feed, po: &mut Feed, out: &mut Vec<Value>) {
+    while let (Some(x), Some(y)) = (pd.front(consts), po.front(consts)) {
+        if y == Value::Bit(keep) {
+            out.push(x);
         }
-        pd.pop_front();
-        po.pop_front();
+        pd.pop(consts);
+        po.pop(consts);
     }
 }
 
@@ -1167,20 +1255,14 @@ fn fold_emit(s: &Seq, need: usize, add: i64) -> Seq {
 enum Slot {
     /// No per-event state.
     Pass,
-    /// Zip surplus buffers (at most one non-empty).
-    Zip {
-        pa: VecDeque<Value>,
-        pb: VecDeque<Value>,
-    },
+    /// Zip operand feeds (at most one has a surplus).
+    Zip { pa: Feed, pb: Feed },
     /// Take-while absorbing flag.
     TakeWhile { done: bool },
     /// Elements still to be dropped.
     Skip { remaining: usize },
-    /// Oracle-select surplus buffers.
-    Select {
-        pd: VecDeque<Value>,
-        po: VecDeque<Value>,
-    },
+    /// Oracle-select operand feeds.
+    Select { pd: Feed, po: Feed },
     /// Tick counter.
     Count { ticks: i64, done: bool },
     /// First-element emitter.
@@ -1493,9 +1575,9 @@ impl CompiledDeltaState {
                             let Slot::Zip { pa, pb } = &mut slots[i] else {
                                 unreachable!("zip inst with non-zip slot");
                             };
-                            pa.extend(fed[a as usize].iter().copied());
-                            pb.extend(fed[b as usize].iter().copied());
-                            drain_zip(z, pa, pb, buf);
+                            pa.extend(&fed[a as usize]);
+                            pb.extend(&fed[b as usize]);
+                            drain_zip(&prog.consts, z, pa, pb, buf);
                         }
                         Inst::TakeWhile { p, e } => {
                             let Slot::TakeWhile { done } = &mut slots[i] else {
@@ -1513,9 +1595,9 @@ impl CompiledDeltaState {
                             let Slot::Select { pd, po } = &mut slots[i] else {
                                 unreachable!("select inst with non-select slot");
                             };
-                            pd.extend(fed[data as usize].iter().copied());
-                            po.extend(fed[oracle as usize].iter().copied());
-                            drain_select(keep, pd, po, buf);
+                            pd.extend(&fed[data as usize]);
+                            po.extend(&fed[oracle as usize]);
+                            drain_select(&prog.consts, keep, pd, po, buf);
                         }
                         Inst::CountTicks { e } => {
                             let Slot::Count { ticks, done } = &mut slots[i] else {
@@ -1571,8 +1653,9 @@ impl CompiledDeltaState {
     /// `out`: equal keys from two machines of the same program mean equal
     /// appended values under every continuation.
     ///
-    /// The key holds the stateful stages' counters and flags and the
-    /// `Zip`/`Select` surplus contents. It leaves out the scratch buffers
+    /// The key holds the stateful stages' counters and flags, the
+    /// `Zip`/`Select` surplus contents and their offsets into infinite
+    /// constants, reduced modulo the cycle. It leaves out the scratch buffers
     /// and how much the machine has emitted, and it drops dead state: a
     /// finished tick counter forgets its count, a fired emitter its
     /// threshold progress. So a stateless machine keys to nothing,
@@ -1597,8 +1680,8 @@ impl CompiledDeltaState {
             Repr::Graph { slots, .. } => slots.iter().all(|slot| match slot {
                 Slot::Pass => true,
                 Slot::Zip { pa: x, pb: y } | Slot::Select { pd: x, po: y } => {
-                    key_values(x.iter(), out);
-                    key_values(y.iter(), out);
+                    x.key(out);
+                    y.key(out);
                     true
                 }
                 Slot::TakeWhile { done } => {
@@ -1819,74 +1902,53 @@ fn key_emit(st: &EmitState, out: &mut Vec<u8>) {
 // Compiled side evaluators (the monitor's building block)
 // ---------------------------------------------------------------------------
 
-/// A resumable evaluator for one side of a description equation, driven by
-/// a [`CompiledExpr`].
-///
-/// Programs [`CompiledExpr::delta_init`] rejects (infinite constants,
-/// hookless customs) degrade to an opaque fallback that re-evaluates the
-/// compiled program per query; soundness never depends on the fast path.
-#[derive(Debug)]
-pub enum CompiledSideEval {
-    /// Incremental: compiled machine plus the append-only output so far.
-    Delta {
-        /// The compiled machine.
-        state: CompiledDeltaState,
-        /// The side's full (finite) output so far, append-only.
-        out: Vec<Value>,
-    },
-    /// Fallback: the program plus every event fed so far.
-    Opaque {
-        /// The program being tracked.
-        expr: CompiledExpr,
-        /// Events fed so far (already projected by the caller).
-        events: Vec<Event>,
-    },
-}
-
-impl Clone for CompiledSideEval {
-    fn clone(&self) -> CompiledSideEval {
-        match self {
-            CompiledSideEval::Delta { state, out } => CompiledSideEval::Delta {
-                state: state.clone(),
-                out: out.clone(),
-            },
-            CompiledSideEval::Opaque { expr, events } => CompiledSideEval::Opaque {
-                expr: expr.clone(),
-                events: events.clone(),
-            },
-        }
+/// Where position `i` of a side's output sits in the stored output of
+/// length `len`: `i` itself within it, then, for an infinite constant with
+/// a cycle of `cycle` values at the end of the stored output, wrapped back
+/// into that cycle. `None` past the end of a finite output (`cycle == 0`).
+#[inline]
+pub fn cyclic_position(len: usize, cycle: usize, i: usize) -> Option<usize> {
+    if i < len {
+        Some(i)
+    } else if cycle == 0 {
+        None
+    } else {
+        let start = len - cycle;
+        Some(start + (i - start) % cycle)
     }
 }
 
-/// A cheap pre-step snapshot of a [`CompiledSideEval`]'s output, for the
+/// A resumable evaluator for one side of a description equation: a
+/// [`CompiledExpr`]'s machine and the side's output so far.
+///
+/// The output is append-only. A side that reads no channel is its own
+/// value; an infinite one (a constant such as `trues`) holds its prefix
+/// and one cycle, never steps, and is read cyclically through
+/// [`get`](CompiledSideEval::get).
+#[derive(Debug, Clone)]
+pub struct CompiledSideEval {
+    state: CompiledDeltaState,
+    out: Vec<Value>,
+}
+
+/// A pre-step snapshot of a [`CompiledSideEval`]'s output, for the
 /// smoothness query `f(v) ⊑ g(u)` where `u` is the trace *before* the
 /// step into `v`: freeze `g`, step both sides, then compare against the
-/// frozen state.
-#[derive(Debug, Clone)]
-pub enum FrozenSide {
-    /// An incremental side is frozen by its output length alone — its
-    /// output is append-only, so the pre-step value is the current
-    /// output truncated to this length. O(1) to take.
-    Len(usize),
-    /// An opaque side is frozen by its fully evaluated value.
-    Seq(Seq),
-}
+/// frozen state. The output is append-only, so its length is the whole
+/// snapshot.
+#[derive(Debug, Clone, Copy)]
+pub struct FrozenSide(usize);
 
 impl CompiledSideEval {
     /// Builds the evaluator for `e` at the empty trace.
     pub fn new(e: &CompiledExpr) -> CompiledSideEval {
-        match e.delta_init() {
-            Some((state, out)) => CompiledSideEval::Delta { state, out },
-            None => CompiledSideEval::Opaque {
-                expr: e.clone(),
-                events: Vec::new(),
-            },
-        }
+        let (state, out) = e.delta_init();
+        CompiledSideEval { state, out }
     }
 
-    /// True iff the side runs on the incremental fast path.
-    pub fn is_incremental(&self) -> bool {
-        matches!(self, CompiledSideEval::Delta { .. })
+    /// The side's machine.
+    pub fn state(&self) -> &CompiledDeltaState {
+        &self.state
     }
 
     /// True iff an event on `c` can change this side's value. The caller
@@ -1894,65 +1956,75 @@ impl CompiledSideEval {
     /// evaluation is projection-invariant on it.
     #[inline]
     pub fn reads(&self, c: Chan) -> bool {
-        match self {
-            CompiledSideEval::Delta { state, .. } => state.reads(c),
-            CompiledSideEval::Opaque { expr, .. } => expr.reads(c),
-        }
+        self.state.reads(c)
     }
 
     /// Advances the side by one appended event — allocation-free in steady
-    /// state on the incremental path.
+    /// state.
     #[inline]
     pub fn step(&mut self, ev: Event) {
-        match self {
-            CompiledSideEval::Delta { state, out } => state.step_into(ev, out),
-            CompiledSideEval::Opaque { events, .. } => events.push(ev),
-        }
+        self.state.step_into(ev, &mut self.out);
     }
 
-    /// The side's append-only output so far, when on the incremental
-    /// path — the raw slice behind [`value`](CompiledSideEval::value),
-    /// exposed so batch drivers can run length checks and deferred prefix
-    /// compares without materializing a [`Seq`] per event.
+    /// The side's stored, append-only output — the raw slice behind
+    /// [`value`](CompiledSideEval::value), exposed so batch drivers can run
+    /// length checks and deferred prefix compares without materializing a
+    /// [`Seq`] per event. For an infinite constant it is the prefix and
+    /// one cycle.
     #[inline]
-    pub fn delta_out(&self) -> Option<&[Value]> {
-        match self {
-            CompiledSideEval::Delta { out, .. } => Some(out),
-            CompiledSideEval::Opaque { .. } => None,
-        }
+    pub fn delta_out(&self) -> &[Value] {
+        &self.out
     }
 
-    /// The side's full current value — exact, including opaque sides.
+    /// The length of the cycle that repeats after the stored output: non-zero
+    /// exactly for an infinite constant.
+    #[inline]
+    pub fn cycle(&self) -> usize {
+        self.state.prog.cycle
+    }
+
+    /// Where position `i` of the value sits in the stored output (see
+    /// [`cyclic_position`]).
+    #[inline]
+    pub fn position(&self, i: usize) -> Option<usize> {
+        cyclic_position(self.out.len(), self.cycle(), i)
+    }
+
+    /// Position `i` of the side's current value.
+    #[inline]
+    pub fn get(&self, i: usize) -> Option<&Value> {
+        self.position(i).map(|j| &self.out[j])
+    }
+
+    /// `|self| ≤ |g|`, an infinite side being longer than every finite one.
+    #[inline]
+    fn no_longer_than(&self, g: &CompiledSideEval) -> bool {
+        g.cycle() > 0 || (self.cycle() == 0 && self.out.len() <= g.out.len())
+    }
+
+    /// The side's full current value.
     pub fn value(&self) -> Seq {
-        match self {
-            CompiledSideEval::Delta { out, .. } => Lasso::finite(out.clone()),
-            CompiledSideEval::Opaque { expr, events } => expr.eval(&Trace::finite(events.clone())),
+        match self.cycle() {
+            0 => Lasso::finite(self.out.clone()),
+            c => {
+                let (prefix, cycle) = self.out.split_at(self.out.len() - c);
+                Lasso::lasso(prefix.to_vec(), cycle.to_vec())
+            }
         }
     }
 
-    /// Snapshots the side's pre-step output: O(1) for incremental sides.
+    /// Snapshots the side's pre-step output in O(1).
     #[inline]
     pub fn freeze(&self) -> FrozenSide {
-        match self {
-            CompiledSideEval::Delta { out, .. } => FrozenSide::Len(out.len()),
-            CompiledSideEval::Opaque { .. } => FrozenSide::Seq(self.value()),
-        }
+        FrozenSide(self.out.len())
     }
 
     /// The value this side had when `frozen` was taken from it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `frozen` was taken from a differently shaped side.
     pub fn frozen_value(&self, frozen: &FrozenSide) -> Seq {
-        match (self, frozen) {
-            (CompiledSideEval::Delta { out, .. }, FrozenSide::Len(n)) => {
-                Lasso::finite(out[..*n].to_vec())
-            }
-            (_, FrozenSide::Seq(s)) => s.clone(),
-            (CompiledSideEval::Opaque { .. }, FrozenSide::Len(_)) => {
-                unreachable!("length freeze taken from an opaque side")
-            }
+        match self.cycle() {
+            // a constant never steps
+            0 => Lasso::finite(self.out[..frozen.0].to_vec()),
+            _ => self.value(),
         }
     }
 }
@@ -1974,8 +2046,7 @@ impl CompiledSideEval {
 ///
 /// A `false` return is a conviction *hint*, not a verdict: the caller
 /// replays the batch through the exact per-event path to place the first
-/// violation. Sides that are not both incremental step exactly and return
-/// `false` (the replay is then the only checker).
+/// violation.
 ///
 /// The dominant chain×chain shape (every fused zoo equation) is matched
 /// once up front and runs a dispatch-free loop: two channel compares and
@@ -1986,31 +2057,23 @@ pub fn batch_advance(
     evs: &[Event],
     at: &[usize],
 ) -> bool {
-    match (f, g) {
+    // Entry invariant: with it, events `f` ignores can't break the length
+    // condition (g only grows), so only f-growth points are checked — the
+    // same induction as the monitor's base_ok skip.
+    let mut ok = f.no_longer_than(g);
+    // An infinite `g` bounds no length; an infinite `f` never steps, and
+    // the entry check already placed it.
+    let bounded = g.cycle() == 0;
+    let (fo, go) = (&mut f.out, &mut g.out);
+    match (&mut f.state.repr, &mut g.state.repr) {
         (
-            CompiledSideEval::Delta {
-                state:
-                    CompiledDeltaState {
-                        repr:
-                            Repr::Chain {
-                                chan: fc,
-                                ops: fops,
-                            },
-                        ..
-                    },
-                out: fo,
+            Repr::Chain {
+                chan: fc,
+                ops: fops,
             },
-            CompiledSideEval::Delta {
-                state:
-                    CompiledDeltaState {
-                        repr:
-                            Repr::Chain {
-                                chan: gc,
-                                ops: gops,
-                            },
-                        ..
-                    },
-                out: go,
+            Repr::Chain {
+                chan: gc,
+                ops: gops,
             },
         ) => {
             let (fc, gc) = (*fc, *gc);
@@ -2019,10 +2082,6 @@ pub fn batch_advance(
             // without this every side pays a realloc ladder mid-batch.
             fo.reserve(at.len());
             go.reserve(at.len());
-            // Entry invariant: with it, events `f` ignores can't break the
-            // length condition (g only grows), so only f-growth points are
-            // checked — the same induction as the monitor's base_ok skip.
-            let mut ok = fo.len() <= go.len();
             for &i in at {
                 let ev = evs[i];
                 let gl = go.len();
@@ -2034,47 +2093,32 @@ pub fn batch_advance(
                     chain_step(gops, ev.value, go);
                 }
             }
-            ok
         }
-        (
-            CompiledSideEval::Delta { state: fs, out: fo },
-            CompiledSideEval::Delta { state: gs, out: go },
-        ) => {
-            // Entry invariant, as above: it stands in for the checks on
-            // the events `at` leaves out.
-            let mut ok = fo.len() <= go.len();
+        _ => {
             for &i in at {
                 let ev = evs[i];
                 let gl = go.len();
-                fs.step_into(ev, fo);
-                gs.step_into(ev, go);
-                ok &= fo.len() <= gl;
+                f.state.step_into(ev, fo);
+                g.state.step_into(ev, go);
+                ok &= !bounded || fo.len() <= gl;
             }
-            ok
-        }
-        (f, g) => {
-            for &i in at {
-                f.step(evs[i]);
-                g.step(evs[i]);
-            }
-            false
         }
     }
+    ok
 }
 
 /// The per-step smoothness query `f(v) ⊑ g(u)`: `f` has been stepped into
 /// `v`, `g_frozen` is `g`'s snapshot at `u` (taken with
 /// [`CompiledSideEval::freeze`] before the step), and `g` is `g`'s current
-/// (post-step) state — needed because a length-freeze reads the frozen
-/// values out of `g`'s append-only buffer.
+/// (post-step) state — needed because a freeze reads the frozen values out
+/// of `g`'s append-only buffer.
 ///
 /// `verified` is the caller-held count of `f` output positions already
 /// certified against earlier frozen states. Because both outputs are
 /// append-only and `g(u) ⊑ g(u')` for `u ⊑ u'`, certified positions stay
-/// certified; on the incremental path only the newly appended positions
-/// are compared, making the check amortized O(1) per event. Returns
-/// `true` (and advances `verified`) iff the query holds; opaque sides
-/// fall back to a full `⊑` comparison and leave `verified` untouched.
+/// certified; only the newly appended positions are compared, making the
+/// check amortized O(1) per event. Returns `true` (and advances
+/// `verified`) iff the query holds.
 #[inline]
 pub fn step_check(
     f: &CompiledSideEval,
@@ -2082,25 +2126,24 @@ pub fn step_check(
     g_frozen: &FrozenSide,
     verified: &mut usize,
 ) -> bool {
-    match (f, g, g_frozen) {
-        (
-            CompiledSideEval::Delta { out: fo, .. },
-            CompiledSideEval::Delta { out: go, .. },
-            FrozenSide::Len(gl),
-        ) => {
-            // finite prefix order is literal prefix: every f position must
-            // exist (f no longer than the frozen g) and match g's value
-            if fo.len() > *gl {
-                return false;
-            }
-            if fo[*verified..] != go[*verified..fo.len()] {
-                return false;
-            }
-            *verified = fo.len();
-            true
-        }
-        _ => f.value().leq(&g.frozen_value(g_frozen)),
+    let (fo, go) = (&f.out, &g.out);
+    if f.cycle() > 0 {
+        // Only the same infinite word lies above an infinite `f`. Both
+        // outputs hold a canonical lasso's prefix and cycle, so that is
+        // equal cycles and equal outputs.
+        return f.cycle() == g.cycle() && fo == go;
     }
+    if g.cycle() > 0 {
+        if !(*verified..fo.len()).all(|i| g.get(i) == Some(&fo[i])) {
+            return false;
+        }
+    } else if fo.len() > g_frozen.0 || fo[*verified..] != go[*verified..fo.len()] {
+        // finite prefix order is literal prefix: every f position must
+        // exist (f no longer than the frozen g) and match g's value
+        return false;
+    }
+    *verified = fo.len();
+    true
 }
 
 #[cfg(test)]
@@ -2133,12 +2176,10 @@ mod tests {
             e.eval(&Trace::empty()),
             "{e} at ⊥"
         );
-        let delta = ce.delta_init();
-        let mut acc = delta.as_ref().map(|(_, out)| out.clone());
-        let mut st = delta.map(|(st, _)| st);
+        let (mut st, mut acc) = ce.delta_init();
         let mut st2 = st.clone();
         let mut acc2 = acc.clone();
-        if let Some(acc) = &acc {
+        if ce.cycle() == 0 {
             assert_eq!(
                 Lasso::finite(acc.clone()),
                 e.eval(&Trace::empty()),
@@ -2154,21 +2195,15 @@ mod tests {
                 e.eval(&t),
                 "compiled eval mismatch for {e} at {t}"
             );
-            if let (Some(st), Some(acc)) = (st.as_mut(), acc.as_mut()) {
-                st.step_into(ev, acc);
+            if ce.cycle() == 0 {
+                st.step_into(ev, &mut acc);
                 assert_eq!(
                     Lasso::finite(acc.clone()),
                     e.eval(&t),
                     "compiled delta mismatch for {e} after {prefix:?}"
                 );
-            }
-            if let (Some(st2), Some(acc2)) = (st2.as_mut(), acc2.as_mut()) {
                 acc2.extend(st2.step(ev));
-                assert_eq!(
-                    acc2,
-                    acc.as_ref().expect("both machines"),
-                    "step diverged for {e}"
-                );
+                assert_eq!(acc2, acc, "step diverged for {e}");
             }
         }
         // lasso input too
@@ -2306,11 +2341,17 @@ mod tests {
             vec![Value::Bit(true)],
             vec![Value::Bit(false)],
         ));
-        let e3 = SeqExpr::CountTicks(Box::new(inf));
+        let e3 = SeqExpr::CountTicks(Box::new(inf.clone()));
         let ce3 = e3.compile();
         assert!(ce3.is_const());
-        assert!(ce3.delta_supported());
+        assert_eq!(ce3.cycle(), 0);
         assert_compiled_agrees(&e3, &mixed_events());
+        // under a zip the infinite constant stays live, read cyclically
+        let e4 = SeqExpr::add(SeqExpr::chan(d()), inf);
+        let ce4 = e4.compile();
+        assert!(!ce4.is_const());
+        assert_eq!(ce4.cycle(), 0);
+        assert_compiled_agrees(&e4, &mixed_events());
     }
 
     #[test]
@@ -2341,7 +2382,7 @@ mod tests {
     fn out_of_support_events_are_noops() {
         let e = SeqExpr::even(SeqExpr::chan(d()));
         let ce = e.compile();
-        let (mut st, mut acc) = ce.delta_init().unwrap();
+        let (mut st, mut acc) = ce.delta_init();
         st.step_into(Event::int(d(), 2), &mut acc);
         assert_eq!(acc, vec![Value::Int(2)]);
         // events on foreign channels change nothing (early exit path)
@@ -2385,7 +2426,7 @@ mod tests {
     /// nodes, so a wrong `true` would silently corrupt its results.
     #[test]
     fn stateless_predicate_matches_the_machine_shape() {
-        let machine = |e: &SeqExpr| e.compile().delta_init().expect("incremental").0;
+        let machine = |e: &SeqExpr| e.compile().delta_init().0;
         let stateful_chains = [
             SeqExpr::skip(1, SeqExpr::chan(d())),
             SeqExpr::TakeWhile(ValuePred::IsTrue, Box::new(SeqExpr::chan(c()))),
@@ -2457,7 +2498,7 @@ mod tests {
             let ce = e.compile();
             // Contradictory filters fold to a constant, which is no chain.
             if !ce.is_const() {
-                let (shared, init) = ce.delta_init().expect("incremental");
+                let (shared, init) = ce.delta_init();
                 proptest::prop_assert!(shared.is_stateless(), "{} is pointwise", e);
                 let before = format!("{shared:?}");
                 let mut stepped = shared.clone();
@@ -2484,7 +2525,6 @@ mod tests {
         let ge = SeqExpr::chan(b()).compile();
         let mut f = CompiledSideEval::new(&fe);
         let mut g = CompiledSideEval::new(&ge);
-        assert!(f.is_incremental());
         assert!(f.reads(d()) && !f.reads(b()));
         let mut verified = 0;
         // b gets 0, then d gets 0: f grows to ⟨0⟩ ⊑ g(u) = ⟨0⟩
@@ -2502,17 +2542,25 @@ mod tests {
         f.step(Event::int(d(), 2));
         g.step(Event::int(d(), 2));
         assert!(!step_check(&f, &g, &frozen, &mut verified));
-        // opaque fallback still answers exactly
-        let inf = SeqExpr::constant(Lasso::repeat(vec![Value::Int(0)])).compile();
+        // an infinite constant holds its prefix and one cycle, read
+        // cyclically
+        let word = Lasso::lasso(vec![Value::Int(7)], vec![Value::Int(0), Value::Int(1)]);
+        let inf = SeqExpr::constant(word.clone()).compile();
         let o = CompiledSideEval::new(&inf);
-        assert!(!o.is_incremental());
-        assert_eq!(o.value(), Lasso::repeat(vec![Value::Int(0)]));
+        assert_eq!(o.cycle(), 2);
+        assert_eq!(
+            o.delta_out(),
+            &[Value::Int(7), Value::Int(0), Value::Int(1)]
+        );
+        assert_eq!(o.get(3), Some(&Value::Int(0)));
+        assert_eq!(o.position(6), Some(2));
+        assert_eq!(o.value(), word);
     }
 
     #[test]
     fn state_keys_drop_position_and_dead_state() {
         let key_after = |e: &SeqExpr, evs: &[Event]| {
-            let (mut m, _) = e.compile().delta_init().expect("incremental");
+            let (mut m, _) = e.compile().delta_init();
             for &ev in evs {
                 m.step(ev);
             }
@@ -2598,13 +2646,13 @@ mod tests {
             fn name(&self) -> &str {
                 "echo"
             }
-            fn delta_init(&self) -> Option<(Box<dyn CustomDeltaState>, Vec<Value>)> {
-                Some((Box::new(Echo(self.0)), Vec::new()))
+            fn delta_init(&self) -> (Box<dyn CustomDeltaState>, Vec<Value>) {
+                (Box::new(Echo(self.0)), Vec::new())
             }
         }
         for encodes in [true, false] {
             let e = SeqExpr::custom(Arc::new(EchoFn(encodes)));
-            let (m, _) = e.compile().delta_init().expect("incremental");
+            let (m, _) = e.compile().delta_init();
             assert_eq!(m.state_key(&mut Vec::new()), encodes);
         }
     }

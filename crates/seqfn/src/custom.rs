@@ -22,22 +22,21 @@ pub trait SeqFunction: Debug + Send + Sync {
     /// Diagnostic name.
     fn name(&self) -> &str;
 
-    /// Optional incremental-evaluation hook for the enumeration engine.
+    /// The incremental-evaluation hook: the function's state and value at
+    /// the empty trace.
     ///
-    /// Returning `Some((state, out))` asserts that `out` is the (finite)
-    /// value of this function on the empty trace and that stepping `state`
-    /// with each appended event yields exactly the values `eval` would
-    /// append — i.e. the function's output on finite traces is append-only
-    /// under one-event extension (which continuity guarantees). The default
-    /// is `None`: the engine then falls back to full re-evaluation, which
-    /// is always sound.
-    fn delta_init(&self) -> Option<(Box<dyn CustomDeltaState>, Vec<Value>)> {
-        None
-    }
+    /// Returning `(state, out)` asserts that `out` is the (finite) value of
+    /// this function on the empty trace and that stepping `state` with each
+    /// appended event yields exactly the values `eval` would append — i.e.
+    /// the function's output on finite traces is append-only under
+    /// one-event extension (which continuity guarantees). The enumeration
+    /// engine, the smoothness walk and the monitor step every side through
+    /// this hook; none of them re-evaluates `eval`.
+    fn delta_init(&self) -> (Box<dyn CustomDeltaState>, Vec<Value>);
 }
 
-/// Incremental per-path state for a custom function that opted into delta
-/// evaluation via [`SeqFunction::delta_init`].
+/// Incremental per-path state of a custom function, built by
+/// [`SeqFunction::delta_init`].
 ///
 /// States are cloned at every branch of the enumeration tree, so they
 /// should be small; `clone_box` stands in for `Clone` (which is not object
@@ -70,6 +69,22 @@ mod tests {
     #[derive(Debug)]
     struct LenCounter(Chan);
 
+    #[derive(Debug, Clone)]
+    struct LenCounterState(Chan);
+
+    impl CustomDeltaState for LenCounterState {
+        fn clone_box(&self) -> Box<dyn CustomDeltaState> {
+            Box::new(self.clone())
+        }
+        fn step(&mut self, ev: Event) -> Vec<Value> {
+            if ev.chan == self.0 {
+                vec![Value::Bit(true)]
+            } else {
+                Vec::new()
+            }
+        }
+    }
+
     impl SeqFunction for LenCounter {
         fn eval(&self, t: &Trace) -> Seq {
             // ⟨T, T, …⟩ one tick per message on the channel (continuous).
@@ -81,6 +96,9 @@ mod tests {
         fn name(&self) -> &str {
             "len-counter"
         }
+        fn delta_init(&self) -> (Box<dyn CustomDeltaState>, Vec<Value>) {
+            (Box::new(LenCounterState(self.0)), Vec::new())
+        }
     }
 
     #[test]
@@ -90,5 +108,8 @@ mod tests {
         assert_eq!(f.eval(&t), Lasso::finite(vec![eqp_trace::Value::tt()]));
         assert_eq!(f.name(), "len-counter");
         assert!(f.channels().contains(Chan::new(0)));
+        let (mut st, init) = f.delta_init();
+        assert!(init.is_empty());
+        assert_eq!(st.step(Event::int(Chan::new(0), 5)), vec![Value::tt()]);
     }
 }

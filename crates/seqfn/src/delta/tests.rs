@@ -14,7 +14,7 @@ fn d() -> Chan {
 /// on both the allocating `step` and the in-place `step_into` the hot
 /// loops use.
 fn assert_delta_agrees(e: &SeqExpr, events: &[Event]) {
-    let (mut st, mut acc) = e.compile().delta_init().expect("delta supported");
+    let (mut st, mut acc) = e.compile().delta_init();
     let mut st2 = st.clone();
     let mut acc2 = acc.clone();
     assert_eq!(
@@ -117,22 +117,56 @@ fn r_map_and_takewhile() {
 }
 
 #[test]
-fn infinite_const_not_supported() {
-    let inf = SeqExpr::constant(Lasso::repeat(vec![Value::Int(0)]));
-    // an infinite constant on a live path has no incremental machine
-    assert!(inf.compile().delta_init().is_none());
-    assert!(!inf.compile().delta_supported());
-    // a finite one does
-    assert!(SeqExpr::const_ints([1, 2]).compile().delta_supported());
+fn infinite_const_steps_cyclically() {
+    let inf = SeqExpr::constant(Lasso::lasso(
+        vec![Value::Int(5)],
+        vec![Value::Int(0), Value::Int(1), Value::Int(2)],
+    ));
+    let evs = [
+        Event::int(d(), 1),
+        Event::int(b(), 7),
+        Event::int(d(), 2),
+        Event::int(d(), 3),
+        Event::int(d(), 4),
+        Event::int(d(), 5),
+        Event::bit(b(), true),
+        Event::int(d(), 6),
+    ];
+    // under a zip or an oracle select, an infinite constant is read
+    // through a cyclic offset that wraps past its prefix
+    assert_delta_agrees(&SeqExpr::add(ch(d()), inf.clone()), &evs);
+    assert_delta_agrees(&SeqExpr::add(inf.clone(), ch(d())), &evs);
+    let bits = SeqExpr::constant(Lasso::repeat(vec![Value::tt(), Value::ff()]));
+    assert_delta_agrees(
+        &SeqExpr::OracleSelect {
+            data: Box::new(ch(d())),
+            oracle: Box::new(bits),
+            keep: true,
+        },
+        &evs,
+    );
+    assert_delta_agrees(
+        &SeqExpr::OracleSelect {
+            data: Box::new(inf.clone()),
+            oracle: Box::new(ch(b())),
+            keep: true,
+        },
+        &evs,
+    );
     // folding under TakeWhile/CountTicks collapses it into a finite one
     let taken = SeqExpr::TakeWhile(ValuePred::IsTrue, Box::new(inf.clone()));
-    assert!(taken.compile().delta_init().is_some());
-    let ticks = SeqExpr::CountTicks(Box::new(inf));
-    assert!(ticks.compile().delta_init().is_some());
+    assert_eq!(taken.compile().cycle(), 0);
+    assert_delta_agrees(&taken, &evs);
+    // a root one is its own value: prefix and one cycle, never stepped
+    let c = inf.compile();
+    assert_eq!(c.cycle(), 3);
+    let (mut st, init) = c.delta_init();
+    assert_eq!(init, [5, 0, 1, 2].map(Value::Int));
+    assert!(evs.iter().all(|&ev| st.step(ev).is_empty()));
 }
 
 /// The side evaluator must agree with full evaluation on every prefix,
-/// on both the incremental and the opaque path.
+/// for sides that step and for a side that is an infinite constant.
 fn assert_side_agrees(e: &SeqExpr, events: &[Event]) {
     let mut side = CompiledSideEval::new(&e.compile());
     assert_eq!(side.value(), e.eval(&Trace::empty()), "init value for {e}");
@@ -140,11 +174,15 @@ fn assert_side_agrees(e: &SeqExpr, events: &[Event]) {
     for &ev in events {
         prefix.push(ev);
         side.step(ev);
+        let t = Trace::finite(prefix.clone());
         assert_eq!(
             side.value(),
-            e.eval(&Trace::finite(prefix.clone())),
+            e.eval(&t),
             "side value mismatch for {e} after {prefix:?}"
         );
+        for i in 0..12 {
+            assert_eq!(side.get(i), e.eval(&t).get(i), "position {i} of {e}");
+        }
     }
 }
 
@@ -157,12 +195,17 @@ fn side_eval_agrees_on_both_paths() {
         Event::int(d(), 2),
     ];
     let fast = even(ch(d()));
-    assert!(CompiledSideEval::new(&fast.compile()).is_incremental());
+    assert_eq!(CompiledSideEval::new(&fast.compile()).cycle(), 0);
     assert_side_agrees(&fast, &evs);
-    // an infinite constant forces the opaque fallback
-    let slow = SeqExpr::constant(Lasso::repeat(vec![Value::Int(0)]));
-    assert!(!CompiledSideEval::new(&slow.compile()).is_incremental());
-    assert_side_agrees(&slow, &evs);
+    // an infinite constant is read cyclically
+    let cyclic = SeqExpr::constant(Lasso::lasso(
+        vec![Value::Int(3)],
+        vec![Value::Int(0), Value::Int(1)],
+    ));
+    assert_eq!(CompiledSideEval::new(&cyclic.compile()).cycle(), 2);
+    assert_side_agrees(&cyclic, &evs);
+    // a nested one steps with the rest of the machine
+    assert_side_agrees(&SeqExpr::add(ch(d()), cyclic), &evs);
 }
 
 /// `step_check` must decide exactly `f(v) ⊑ g(u)` for consecutive
@@ -208,10 +251,13 @@ fn step_check_matches_posthoc_leq() {
         // incremental/incremental
         assert_step_check_agrees(&ch(d()), &ch(b()), evs);
         assert_step_check_agrees(&even(ch(d())), &ch(b()), evs);
-        // opaque g (infinite const) and opaque f
+        // an infinite constant on either side, or on both
         let inf = SeqExpr::constant(Lasso::lasso(vec![Value::Int(0)], vec![Value::Int(1)]));
         assert_step_check_agrees(&ch(d()), &inf, evs);
         assert_step_check_agrees(&inf, &ch(d()), evs);
+        assert_step_check_agrees(&inf, &inf, evs);
+        let other = SeqExpr::constant(Lasso::repeat(vec![Value::Int(1)]));
+        assert_step_check_agrees(&inf, &other, evs);
     }
 }
 

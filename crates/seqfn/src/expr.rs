@@ -376,6 +376,7 @@ impl fmt::Display for SeqExpr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::custom::CustomDeltaState;
     use eqp_trace::Event;
 
     fn b() -> Chan {
@@ -540,8 +541,8 @@ mod tests {
     #[test]
     fn substitution_into_custom_fails_when_support_hits() {
         #[derive(Debug)]
-        struct Opaque;
-        impl SeqFunction for Opaque {
+        struct Ch2;
+        impl SeqFunction for Ch2 {
             fn eval(&self, t: &Trace) -> Seq {
                 t.seq_on(Chan::new(2))
             }
@@ -551,8 +552,25 @@ mod tests {
             fn name(&self) -> &str {
                 "opaque"
             }
+            fn delta_init(&self) -> (Box<dyn CustomDeltaState>, Vec<Value>) {
+                (Box::new(Ch2State), Vec::new())
+            }
         }
-        let e = SeqExpr::custom(Arc::new(Opaque));
+        #[derive(Debug, Clone)]
+        struct Ch2State;
+        impl CustomDeltaState for Ch2State {
+            fn clone_box(&self) -> Box<dyn CustomDeltaState> {
+                Box::new(Ch2State)
+            }
+            fn step(&mut self, ev: Event) -> Vec<Value> {
+                if ev.chan == Chan::new(2) {
+                    vec![ev.value]
+                } else {
+                    Vec::new()
+                }
+            }
+        }
+        let e = SeqExpr::custom(Arc::new(Ch2));
         let err = e.subst_chan(d(), &SeqExpr::epsilon()).unwrap_err();
         assert!(err.to_string().contains("opaque"));
         // substituting a channel outside the support is fine

@@ -1,13 +1,15 @@
 //! Differential property suite: the compiled IR (`eqp_seqfn::compile`)
 //! is observationally identical to the tree-walking interpreter.
 //!
-//! Random `SeqExpr` trees over **all** constructors — including `Custom`
-//! nodes both with and without the incremental `delta_init` hook — are
+//! Random `SeqExpr` trees over **all** constructors — including infinite
+//! constants and `Custom` nodes with and without a state encoding — are
 //! pitted against random finite and eventually-periodic (lasso) traces:
 //!
 //! * `CompiledExpr::eval` == `SeqExpr::eval` on every input;
 //! * per-event `CompiledDeltaState` outputs == the appended diff of full
-//!   `SeqExpr::eval` on each prefix;
+//!   `SeqExpr::eval` on each prefix, for every expression (an infinite
+//!   constant under a `Zip`/`OracleSelect` is read cyclically; a root one
+//!   is its own value);
 //! * `CompiledSideEval` + `compile::step_check` accepts and rejects
 //!   exactly as the paper's query `f(u·e) ⊑ g(u)`, evaluated directly,
 //!   up to and including the first rejection;
@@ -17,8 +19,8 @@
 //! * cloning a compiled machine mid-stream and resuming both copies gives
 //!   identical results (the checkpoint/resume contract at this layer);
 //! * equal `CompiledDeltaState::state_key`s mean equal appended values on
-//!   random continuations, and a stateless machine's key ignores how much
-//!   it has emitted.
+//!   random continuations — offsets into cyclic constants included — and
+//!   a stateless machine's key ignores how much it has emitted.
 
 use eqp_seqfn::compile::step_check;
 use eqp_seqfn::{
@@ -28,10 +30,26 @@ use eqp_trace::{Chan, ChanSet, Event, Lasso, Seq, Trace, Value};
 use proptest::prelude::*;
 use std::sync::Arc;
 
-/// Hookless custom function: one `T` per message on the channel. Forces
-/// the opaque (full re-evaluation) fallback.
+/// Custom function whose state has no encoding: one `T` per message on the
+/// channel. A machine holding it has no state key.
 #[derive(Debug)]
 struct TickPerMsg(Chan);
+
+#[derive(Debug)]
+struct TickState(Chan);
+
+impl eqp_seqfn::CustomDeltaState for TickState {
+    fn clone_box(&self) -> Box<dyn eqp_seqfn::CustomDeltaState> {
+        Box::new(TickState(self.0))
+    }
+    fn step(&mut self, ev: Event) -> Vec<Value> {
+        if ev.chan == self.0 {
+            vec![Value::Bit(true)]
+        } else {
+            Vec::new()
+        }
+    }
+}
 
 impl SeqFunction for TickPerMsg {
     fn eval(&self, t: &Trace) -> Seq {
@@ -43,11 +61,14 @@ impl SeqFunction for TickPerMsg {
     fn name(&self) -> &str {
         "tick-per-msg"
     }
+    fn delta_init(&self) -> (Box<dyn eqp_seqfn::CustomDeltaState>, Vec<Value>) {
+        (Box::new(TickState(self.0)), Vec::new())
+    }
 }
 
-/// Custom function *with* the incremental hook: maps each message on the
+/// Custom function with an encoded state: maps each message on the
 /// channel to the parity bit of its integer value (non-integers count as
-/// odd). Exercises the compiled machine's `Slot::Custom` path.
+/// odd).
 #[derive(Debug)]
 struct ParityMap(Chan);
 
@@ -88,30 +109,8 @@ impl SeqFunction for ParityMap {
     fn name(&self) -> &str {
         "parity-map"
     }
-    fn delta_init(&self) -> Option<(Box<dyn eqp_seqfn::CustomDeltaState>, Vec<Value>)> {
-        Some((Box::new(ParityState(self.0)), Vec::new()))
-    }
-}
-
-/// The syntactic condition for an incremental machine: no infinite
-/// constant and no custom function without the `delta_init` hook
-/// anywhere in the tree.
-fn syntactically_incremental(e: &SeqExpr) -> bool {
-    match e {
-        SeqExpr::Chan(_) => true,
-        SeqExpr::Const(s) => s.is_finite(),
-        SeqExpr::Custom(f) => f.delta_init().is_some(),
-        SeqExpr::Concat(_, e)
-        | SeqExpr::Map(_, e)
-        | SeqExpr::Filter(_, e)
-        | SeqExpr::TakeWhile(_, e)
-        | SeqExpr::Skip(_, e)
-        | SeqExpr::CountTicks(e)
-        | SeqExpr::EmitFirstAfter { input: e, .. } => syntactically_incremental(e),
-        SeqExpr::Zip(_, a, b)
-        | SeqExpr::OracleSelect {
-            data: a, oracle: b, ..
-        } => syntactically_incremental(a) && syntactically_incremental(b),
+    fn delta_init(&self) -> (Box<dyn eqp_seqfn::CustomDeltaState>, Vec<Value>) {
+        (Box::new(ParityState(self.0)), Vec::new())
     }
 }
 
@@ -123,6 +122,11 @@ fn leaf() -> impl Strategy<Value = SeqExpr> {
             Value::Int(0),
             Value::Int(1)
         ]))),
+        // a prefix before the cycle: a cyclic offset wraps back past it
+        Just(SeqExpr::constant(Lasso::lasso(
+            vec![Value::Int(2)],
+            vec![Value::Int(0), Value::Int(1)]
+        ))),
         (0u32..3).prop_map(|c| SeqExpr::custom(Arc::new(TickPerMsg(Chan::new(c))))),
         (0u32..3).prop_map(|c| SeqExpr::custom(Arc::new(ParityMap(Chan::new(c))))),
     ]
@@ -243,29 +247,31 @@ proptest! {
         evs in arb_events(),
     ) {
         let c = e.compile();
-        // Optimization only ever *gains* incremental support (constant
-        // folding can collapse an infinite-constant subtree); it must
-        // never lose it.
-        if syntactically_incremental(&e) {
-            prop_assert!(c.delta_supported(), "compilation lost delta support for {}", e);
-        }
-        if let Some((mut cst, mut acc)) = c.delta_init() {
-            prop_assert_eq!(
-                Lasso::finite(acc.clone()), e.eval(&Trace::empty()),
-                "init output wrong for {}", e
-            );
-            let mut prefix = Vec::new();
-            for &ev in &evs {
-                prefix.push(ev);
-                // `acc` equalled eval on the previous prefix, so this pins
-                // `delta` as exactly the appended diff
-                acc.extend(cst.step(ev));
-                prop_assert_eq!(
-                    Lasso::finite(acc.clone()),
-                    e.eval(&Trace::finite(prefix.clone())),
-                    "delta diverged from eval for {} after {:?}", e, prefix
-                );
+        let (mut cst, mut acc) = c.delta_init();
+        // the value at ε: finite, or an infinite constant's prefix and
+        // one cycle
+        let init = match c.cycle() {
+            0 => Lasso::finite(acc.clone()),
+            n => Lasso::lasso(acc[..acc.len() - n].to_vec(), acc[acc.len() - n..].to_vec()),
+        };
+        prop_assert_eq!(init, e.eval(&Trace::empty()), "init output wrong for {}", e);
+        let mut prefix = Vec::new();
+        for &ev in &evs {
+            prefix.push(ev);
+            let appended = cst.step(ev);
+            if c.cycle() > 0 {
+                // a constant is its own value on every trace
+                prop_assert!(appended.is_empty(), "constant {} stepped", e);
+                continue;
             }
+            // `acc` equalled eval on the previous prefix, so this pins
+            // `delta` as exactly the appended diff
+            acc.extend(appended);
+            prop_assert_eq!(
+                Lasso::finite(acc.clone()),
+                e.eval(&Trace::finite(prefix.clone())),
+                "delta diverged from eval for {} after {:?}", e, prefix
+            );
         }
     }
 
@@ -281,11 +287,10 @@ proptest! {
             "compiled support exceeds syntactic support for {}", e
         );
         prop_assert_eq!(c.eval(&t), c.eval(&t.project(c.channels())), "projection changed eval of {}", e);
-        if let Some((mut st, _)) = c.delta_init() {
-            let foreign = Event::int(Chan::new(77), 1);
-            prop_assert!(!c.reads(Chan::new(77)));
-            prop_assert!(st.step(foreign).is_empty(), "foreign event appended output for {}", e);
-        }
+        let (mut st, _) = c.delta_init();
+        let foreign = Event::int(Chan::new(77), 1);
+        prop_assert!(!c.reads(Chan::new(77)));
+        prop_assert!(st.step(foreign).is_empty(), "foreign event appended output for {}", e);
     }
 
     /// The monitor-facing layer: `CompiledSideEval` + its `step_check`
@@ -371,7 +376,8 @@ fn narrow_events(max: usize) -> impl Strategy<Value = Vec<Event>> {
 
 /// The shared generator, or one stateful stage straight over a channel
 /// (where random histories do reach the stage's state), or a zip of two
-/// channels (whose surplus they do fill).
+/// channels (whose surplus they do fill), or a channel zipped with or
+/// selected by an infinite constant (whose offset they do advance).
 fn keyed_expr() -> impl Strategy<Value = SeqExpr> {
     let stage = (0u8..4, 1usize..4, 0u32..3).prop_map(|(kind, n, c)| {
         let e = SeqExpr::chan(Chan::new(c));
@@ -393,16 +399,48 @@ fn keyed_expr() -> impl Strategy<Value = SeqExpr> {
             Box::new(SeqExpr::chan(Chan::new(b))),
         )
     });
-    prop_oneof![expr(), stage, zip]
+    let cyclic = (
+        0u8..3,
+        0u32..3,
+        proptest::collection::vec(0i64..2, 0..3),
+        proptest::collection::vec(0i64..2, 1..4),
+    )
+        .prop_map(|(kind, c, prefix, cycle)| {
+            let e = Box::new(SeqExpr::chan(Chan::new(c)));
+            let ints = |ns: Vec<i64>| ns.into_iter().map(Value::Int).collect::<Vec<_>>();
+            let bits = |ns: Vec<i64>| {
+                ns.into_iter()
+                    .map(|n| Value::Bit(n > 0))
+                    .collect::<Vec<_>>()
+            };
+            match kind {
+                0 => SeqExpr::Zip(
+                    ValueZip::AddInts,
+                    e,
+                    Box::new(SeqExpr::constant(Lasso::lasso(ints(prefix), ints(cycle)))),
+                ),
+                1 => SeqExpr::OracleSelect {
+                    data: e,
+                    oracle: Box::new(SeqExpr::constant(Lasso::lasso(bits(prefix), bits(cycle)))),
+                    keep: true,
+                },
+                _ => SeqExpr::OracleSelect {
+                    data: Box::new(SeqExpr::constant(Lasso::lasso(ints(prefix), ints(cycle)))),
+                    oracle: e,
+                    keep: false,
+                },
+            }
+        });
+    prop_oneof![expr(), stage, zip, cyclic]
 }
 
-/// Steps a fresh machine for `c` over `h`; `None` without one.
-fn machine_after(c: &eqp_seqfn::CompiledExpr, h: &[Event]) -> Option<CompiledDeltaState> {
-    let (mut m, _) = c.delta_init()?;
+/// Steps a fresh machine for `c` over `h`.
+fn machine_after(c: &eqp_seqfn::CompiledExpr, h: &[Event]) -> CompiledDeltaState {
+    let (mut m, _) = c.delta_init();
     for &ev in h {
         m.step(ev);
     }
-    Some(m)
+    m
 }
 
 proptest! {
@@ -420,9 +458,7 @@ proptest! {
         conts in proptest::collection::vec(narrow_events(8), 64),
     ) {
         let c = e.compile();
-        let (Some(a), Some(b)) = (machine_after(&c, &h1), machine_after(&c, &h2)) else {
-            return;
-        };
+        let (a, b) = (machine_after(&c, &h1), machine_after(&c, &h2));
         let (mut ka, mut kb) = (Vec::new(), Vec::new());
         if a.state_key(&mut ka) && b.state_key(&mut kb) && ka == kb {
             for cont in &conts {
@@ -437,6 +473,24 @@ proptest! {
         }
     }
 
+    /// The keyed shapes step like `eval` on every prefix, so a cyclic
+    /// offset wraps back past its constant's prefix, not to its start.
+    #[test]
+    fn keyed_machines_step_like_eval(e in keyed_expr(), h in narrow_events(16)) {
+        let c = e.compile();
+        if c.cycle() == 0 {
+            let (mut m, mut acc) = c.delta_init();
+            for n in 1..=h.len() {
+                acc.extend(m.step(h[n - 1]));
+                prop_assert_eq!(
+                    Lasso::finite(acc.clone()),
+                    e.eval(&Trace::finite(h[..n].to_vec())),
+                    "{} after {:?}", e, &h[..n]
+                );
+            }
+        }
+    }
+
     /// The key leaves out output position: a stateless machine keys the
     /// same after histories of any lengths.
     #[test]
@@ -446,9 +500,7 @@ proptest! {
         h2 in narrow_events(12),
     ) {
         let c = e.compile();
-        let (Some(a), Some(b)) = (machine_after(&c, &h1), machine_after(&c, &h2)) else {
-            return;
-        };
+        let (a, b) = (machine_after(&c, &h1), machine_after(&c, &h2));
         if a.is_stateless() {
             let (mut ka, mut kb) = (Vec::new(), Vec::new());
             prop_assert!(a.state_key(&mut ka) && b.state_key(&mut kb));

@@ -17,7 +17,7 @@
 //! wide programs past the 128-bit support masks (inexact masks) and sparse
 //! channel ids; multi-channel graph sides (zip, oracle select,
 //! const-prefixed concat); events outside the visible set; equations
-//! whose base case `f(ε) ⊑ g(ε)` fails; non-incremental sides; smooth
+//! whose base case `f(ε) ⊑ g(ε)` fails; infinite constant sides; smooth
 //! traces with a violation injected at a random position; and both
 //! policies.
 
@@ -105,11 +105,11 @@ fn wide_zip(chans: &[Chan]) -> SeqExpr {
 }
 
 /// A random equation side over `chans`: single-channel chains, the
-/// multi-channel graph shapes, constants and (when `opaque`) an infinite
-/// constant, which has no incremental machine.
-fn side(rng: &mut StdRng, chans: &Chans, opaque: bool) -> SeqExpr {
+/// multi-channel graph shapes, constants and (when `infinite`) an infinite
+/// constant, which is read cyclically.
+fn side(rng: &mut StdRng, chans: &Chans, infinite: bool) -> SeqExpr {
     let c = chans.int(rng);
-    match rng.random_range(0..if opaque { 11 } else { 10 }) {
+    match rng.random_range(0..if infinite { 11 } else { 10 }) {
         0 => ch(c),
         1 => SeqExpr::affine(rng.random_range(1..4i64), rng.random_range(0..3i64), ch(c)),
         2 => SeqExpr::even(ch(c)),
@@ -182,7 +182,7 @@ fn random_case(rng: &mut StdRng, wide: bool) -> Case {
     } else {
         rng.random_range(1..7)
     };
-    let opaque = rng.random_bool(0.15);
+    let infinite = rng.random_bool(0.15);
     let mut desc = Description::new("random");
     for _ in 0..eqs {
         // now and then an equation whose base case fails: its first
@@ -190,9 +190,9 @@ fn random_case(rng: &mut StdRng, wide: bool) -> Case {
         let lhs = if rng.random_bool(0.1) {
             SeqExpr::const_ints([9])
         } else {
-            side(rng, &chans, opaque)
+            side(rng, &chans, infinite)
         };
-        desc = desc.equation(lhs, side(rng, &chans, opaque));
+        desc = desc.equation(lhs, side(rng, &chans, infinite));
     }
     if wide {
         desc = desc.equation(wide_zip(&chans.ints), side(rng, &chans, false));
@@ -251,13 +251,13 @@ fn smooth_case(rng: &mut StdRng, wide: bool) -> Case {
     let mut events = Vec::new();
     loop {
         let ready: Vec<usize> = (0..defs.len())
-            .filter(|&k| evals[k].delta_out().expect("finite sides").len() > sent[k])
+            .filter(|&k| evals[k].delta_out().len() > sent[k])
             .collect();
         if ready.is_empty() || events.len() >= 500 {
             break;
         }
         let k = ready[rng.random_range(0..ready.len())];
-        let ev = Event::new(defs[k].0, evals[k].delta_out().unwrap()[sent[k]]);
+        let ev = Event::new(defs[k].0, evals[k].delta_out()[sent[k]]);
         sent[k] += 1;
         for e in evals.iter_mut() {
             e.step(ev);
