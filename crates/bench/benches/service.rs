@@ -12,10 +12,11 @@
 //! Emits `BENCH_service.json` at the repository root with p50/p99
 //! admission latency (submit→ack, fsync included), p50/p99 verdict
 //! latency (release→verdict event), the daemon's eviction/resume
-//! counters, and the `fleet_report` rollup latency (merging every
-//! finished session's telemetry sketch block into one fleet summary). Under `EQP_BENCH_SMOKE=1` the fleet is scaled down to 200
-//! sessions but every gate still asserts and the JSON is still written
-//! (tagged `"smoke": true`).
+//! counters, the `fleet_report` rollup latency (the daemon's live
+//! rollup of every finished session's telemetry sketch block), and the
+//! host facts (`eqp_bench::host_json`). Under `EQP_BENCH_SMOKE=1` the
+//! fleet is scaled down to 200 sessions but every gate still asserts and
+//! the JSON is still written (tagged `"smoke": true`).
 
 use eqpd::json::{obj, s, Json};
 use eqpd::{percentile_us, AdmissionConfig, Client, ServerConfig};
@@ -218,12 +219,12 @@ fn main() {
         "netlang admission p99 ({netlang_p99}us) exceeds 2x named-workload p99 ({named_p99}us)"
     );
 
-    // Fleet rollup: merge every finished session's sketch block into one
-    // fleet-wide summary over the RPC. The scan decodes and folds
-    // `sessions + 2*extra` fixed-size sketch images per call, so the
-    // latency bound is per-session linear with generous headroom — the
-    // assert catches a scan or merge that goes superlinear, not machine
-    // drift.
+    // Fleet rollup over the RPC: the daemon absorbed each of the
+    // `sessions + 2*extra` finished sessions' sketch blocks as it
+    // finished, so a call copies, shrinks and encodes one block and
+    // reads no journal file. The per-session linear bound (kept from
+    // when each call scanned the journal) only catches a rollup that
+    // goes superlinear, not machine drift.
     let fleet_sessions = (sessions + 2 * extra) as u64;
     let rollup_iters = if smoke { 10 } else { 30 };
     let mut rollup_us = Vec::with_capacity(rollup_iters);
@@ -240,7 +241,7 @@ fn main() {
     let fleet = fleet.expect("at least one rollup");
     assert_eq!(
         fleet.sessions, fleet_sessions,
-        "the rollup must scan every finished session"
+        "the rollup must count every finished session"
     );
     // Sessions whose sampled observation count is zero (tiny runs under
     // 1-in-32 sampling) store no sketch block at all, so contribution
@@ -270,6 +271,7 @@ fn main() {
             "  \"bench\": \"service\",\n",
             "  \"command\": \"cargo bench -p eqp-bench --bench service\",\n",
             "  \"smoke\": {smoke},\n",
+            "  \"host\": {host},\n",
             "  \"sessions\": {sessions},\n",
             "  \"tenants\": {tenants},\n",
             "  \"workers\": {workers},\n",
@@ -292,6 +294,7 @@ fn main() {
             "}}\n"
         ),
         smoke = smoke,
+        host = eqp_bench::host_json(),
         sessions = sessions,
         tenants = TENANTS,
         workers = workers,

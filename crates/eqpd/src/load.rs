@@ -144,8 +144,9 @@ impl Client {
 
     /// Convenience: fetches the daemon's merged fleet telemetry rollup
     /// (the `fleet_report` RPC). The result carries headline percentiles
-    /// plus the merged sketch image (hex in `sketches`) — merge that
-    /// image with other daemons' to roll a whole fleet up client-side.
+    /// plus the rolled-up sketch image (hex in `sketches`) — absorb that
+    /// image and other daemons' and shrink once to roll a whole fleet up
+    /// client-side.
     pub fn fleet_report(&mut self) -> io::Result<Result<FleetReport, RpcError>> {
         Ok(self.call("fleet_report", obj([]))?.map(|r| FleetReport {
             sessions: r.get("sessions").and_then(Json::as_u64).unwrap_or(0),
@@ -168,7 +169,7 @@ impl Client {
 /// A decoded `fleet_report` response.
 #[derive(Debug, Clone, Default)]
 pub struct FleetReport {
-    /// Finished sessions the journal scan found.
+    /// Finished sessions with a durable verdict in the journal.
     pub sessions: u64,
     /// How many of them contributed a sketch block.
     pub with_sketches: u64,
@@ -184,8 +185,8 @@ pub struct FleetReport {
     pub latency_p99: u64,
     /// Estimated distinct message values across the fleet.
     pub distinct_values: u64,
-    /// The merged sketch block itself — merge with other daemons'
-    /// responses for a cross-fleet rollup.
+    /// The rolled-up sketch block itself — absorb other daemons'
+    /// responses into it and shrink once for a cross-fleet rollup.
     pub sketches: Option<eqp_kahn::TelemetrySketches>,
 }
 

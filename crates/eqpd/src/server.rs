@@ -9,9 +9,9 @@
 //! parked sessions past the residency budget are *evicted* — their
 //! checkpoint image is journaled and the in-memory state dropped — and
 //! transparently resumed from bytes later (the engine guarantees the
-//! resumed run is byte-identical). Verdicts are journaled, capacity
-//! released, and a `verdict` event streamed to the submitting
-//! connection.
+//! resumed run is byte-identical). Verdicts are journaled, rolled into
+//! the live fleet rollup `fleet_report` answers from, capacity released,
+//! and a `verdict` event streamed to the submitting connection.
 //!
 //! Crash recovery: on start the journal is scanned; every interrupted
 //! session (spec without verdict) is re-admitted and re-queued, resuming
@@ -25,9 +25,9 @@ use crate::journal::Journal;
 use crate::json::{obj, s, Json};
 use crate::proto::{self, Frame, ProtoError, Request};
 use crate::session::{ChunkOutcome, SessionResult, SessionRun};
-use crate::spec::{SessionSpec, SpecLimits, TraceSpec};
+use crate::spec::{zoo, zoo_entry, SessionSpec, SpecLimits, TraceSpec};
 use eqp_kahn::conformance::{self, ConformanceOptions};
-use eqp_processes::zoo::conformance_zoo;
+use eqp_kahn::TelemetrySketches;
 use eqp_trace::Trace;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufReader, Write};
@@ -114,6 +114,10 @@ pub struct Stats {
     pub migrated_out: u64,
     /// Sessions received from a peer daemon (destination side).
     pub migrated_in: u64,
+    /// Verdicts whose journal write failed: streamed to the client but
+    /// not durable, so they are left out of `fleet_report` and a
+    /// restart runs the session again.
+    pub verdict_write_failed: u64,
 }
 
 struct Entry {
@@ -166,12 +170,37 @@ struct Core {
     stats: Stats,
 }
 
+/// The live `fleet_report` rollup: every durable verdict's sketch block,
+/// absorbed once when the session finishes. Absorbing is exact and
+/// order-free, so the rollup does not depend on the order sessions
+/// finish in; the report shrinks a copy before encoding it.
+#[derive(Clone, Default)]
+struct Fleet {
+    /// Finished sessions with a durable verdict.
+    sessions: u64,
+    /// How many of them carried a sketch block.
+    with_sketches: u64,
+    sketches: TelemetrySketches,
+}
+
+impl Fleet {
+    fn add(&mut self, block: Option<&TelemetrySketches>) {
+        self.sessions += 1;
+        if let Some(block) = block {
+            self.sketches.absorb(block);
+            self.with_sketches += 1;
+        }
+    }
+}
+
 struct Shared {
     cfg: ServerConfig,
     journal: Journal,
     port: u16,
     core: Mutex<Core>,
     work: Condvar,
+    /// Locked after `core` when both are held.
+    fleet: Mutex<Fleet>,
 }
 
 /// A started daemon: its bound port plus the handles to join.
@@ -260,6 +289,13 @@ pub fn start(cfg: ServerConfig) -> io::Result<ServerHandle> {
         core.queue.push_back(r.id);
     }
 
+    // Seed the fleet rollup from the verdicts earlier incarnations left;
+    // from here on `finish_session` keeps it current.
+    let mut fleet = Fleet::default();
+    for (_, result) in journal.finished_results()? {
+        fleet.add(result.decode_sketches().as_ref());
+    }
+
     let listener = TcpListener::bind(&cfg.addr)?;
     let port = listener.local_addr()?.port();
     if let Some(pf) = &cfg.port_file {
@@ -272,6 +308,7 @@ pub fn start(cfg: ServerConfig) -> io::Result<ServerHandle> {
         port,
         core: Mutex::new(core),
         work: Condvar::new(),
+        fleet: Mutex::new(fleet),
     });
 
     let mut threads = Vec::new();
@@ -482,12 +519,19 @@ fn park_to_journal(sh: &Shared, id: u64, run: &SessionRun) {
     }
 }
 
-/// Records a finished session: durable verdict, released capacity,
-/// streamed `verdict` event.
+/// Records a finished session: durable verdict, fleet rollup, released
+/// capacity, streamed `verdict` event.
 fn finish_session(sh: &Shared, id: u64, tenant: &str, result: SessionResult, aborted: bool) {
-    // Durable before observable: the verdict hits the journal before the
-    // event hits the wire.
-    let _ = sh.journal.record_result(id, &result);
+    // Durable before observable: the verdict hits the journal (and a
+    // durable one the fleet rollup) before the event hits the wire.
+    let durable = match sh.journal.record_result(id, &result) {
+        Ok(()) => true,
+        Err(e) => {
+            eprintln!("eqpd: journal: verdict of s{id} not recorded ({e}); a restart re-runs it");
+            false
+        }
+    };
+    let block = durable.then(|| result.decode_sketches()).flatten();
     let subscriber = {
         let mut core = sh.core.lock().expect("core lock");
         core.admission.release(tenant);
@@ -496,7 +540,16 @@ fn finish_session(sh: &Shared, id: u64, tenant: &str, result: SessionResult, abo
         } else {
             core.stats.completed += 1;
         }
+        if !durable {
+            core.stats.verdict_write_failed += 1;
+        }
         let entry = core.sessions.get_mut(&id).expect("session exists");
+        // An eviction victim whose image fails to encode is finished
+        // while still queued, so a worker may finish it again: roll it
+        // up once.
+        if durable && entry.done.is_none() {
+            sh.fleet.lock().expect("fleet lock").add(block.as_ref());
+        }
         entry.done = Some(result.clone());
         entry.run = None;
         entry.subscriber.clone()
@@ -1202,13 +1255,11 @@ fn handle_check(sh: &Arc<Shared>, req: &Request) -> Json {
         Ok(t) => t,
         Err(e) => return proto::response_err(req.id, -32602, &e.to_string(), None),
     };
-    let entry = conformance_zoo()
-        .into_iter()
-        .find(|e| e.name == trace.workload)
-        .expect("validated at parse");
-    let desc = entry.description();
+    let desc = zoo_entry(&trace.workload)
+        .expect("validated at parse")
+        .cached_description();
     let conf = conformance::check_trace(
-        &desc,
+        desc,
         &Trace::finite(trace.events),
         trace.quiescent,
         &ConformanceOptions::default(),
@@ -1223,7 +1274,7 @@ fn handle_check(sh: &Arc<Shared>, req: &Request) -> Json {
 }
 
 fn handle_workloads(req: &Request) -> Json {
-    let list = conformance_zoo()
+    let list = zoo()
         .iter()
         .map(|e| {
             obj([
@@ -1259,6 +1310,7 @@ fn handle_stats(sh: &Arc<Shared>, req: &Request) -> Json {
             ("migrated_out", Json::UInt(st.migrated_out)),
             ("migrated_in", Json::UInt(st.migrated_in)),
             ("drained", Json::UInt(st.drained)),
+            ("verdict_write_failed", Json::UInt(st.verdict_write_failed)),
             ("in_flight", Json::UInt(core.admission.in_flight() as u64)),
             ("queued", Json::UInt(core.queue.len() as u64)),
             ("resident", Json::UInt(core.resident.len() as u64)),
@@ -1266,27 +1318,18 @@ fn handle_stats(sh: &Arc<Shared>, req: &Request) -> Json {
     )
 }
 
-/// `fleet_report`: folds the durable sketch summary of every finished
-/// session in the journal into one fleet-level telemetry block. The
-/// sketches form a commutative monoid, so this rollup equals the sketch
-/// a single observer of the union stream would have built — and the
-/// response carries the merged image itself (hex), so rollups compose
-/// *across* daemons the same way they compose across sessions.
+/// `fleet_report`: the durable sketch summaries of every finished
+/// session, rolled up into one fleet-level telemetry block. Answered
+/// from the live [`Fleet`] rollup, never from the journal. The response
+/// carries the rolled-up image itself (hex), so rollups compose *across*
+/// daemons the same way they compose across sessions.
 fn handle_fleet_report(sh: &Arc<Shared>, req: &Request) -> Json {
-    let finished = match sh.journal.finished_results() {
-        Ok(f) => f,
-        Err(e) => {
-            return proto::response_err(req.id, -32000, &format!("journal scan failed: {e}"), None)
-        }
-    };
-    let mut merged = eqp_kahn::TelemetrySketches::default();
-    let mut with_sketches = 0u64;
-    for (_, result) in &finished {
-        if let Some(sk) = result.decode_sketches() {
-            merged.merge(&sk);
-            with_sketches += 1;
-        }
-    }
+    let Fleet {
+        sessions,
+        with_sketches,
+        sketches: mut merged,
+    } = sh.fleet.lock().expect("fleet lock").clone();
+    merged.shrink();
     let st = merged.stats();
     let top = Json::Arr(
         st.top_channels
@@ -1297,7 +1340,7 @@ fn handle_fleet_report(sh: &Arc<Shared>, req: &Request) -> Json {
     proto::response_ok(
         req.id,
         obj([
-            ("sessions", Json::UInt(finished.len() as u64)),
+            ("sessions", Json::UInt(sessions)),
             ("with_sketches", Json::UInt(with_sketches)),
             ("events", Json::UInt(st.events)),
             ("depth_p50", Json::UInt(st.depth_p50)),

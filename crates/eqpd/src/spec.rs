@@ -18,7 +18,7 @@ use eqp_netlang::{parse as parse_netlang, NetError, NetLimits, NetProgram};
 use eqp_processes::zoo::{conformance_zoo, ZooEntry};
 use eqp_trace::{Chan, Event, Value};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Default ceiling on per-session step budgets: a tenant can ask for
 /// less, never more — budget enforcement is what keeps one runaway
@@ -76,6 +76,18 @@ pub enum Workload {
     Zoo(String),
     /// A validated tenant netlang program (programs compare by source).
     NetLang(Arc<NetProgram>),
+}
+
+/// The conformance zoo, built once per process and shared, so each
+/// entry's cached description is too.
+pub fn zoo() -> &'static [ZooEntry] {
+    static ZOO: OnceLock<Vec<ZooEntry>> = OnceLock::new();
+    ZOO.get_or_init(conformance_zoo)
+}
+
+/// The conformance-zoo entry registered as `name`.
+pub fn zoo_entry(name: &str) -> Option<&'static ZooEntry> {
+    zoo().iter().find(|e| e.name == name)
 }
 
 /// Which scheduler drives a session. Constructed fresh for every chunk
@@ -239,8 +251,7 @@ impl SessionSpec {
                 })
             }
             (Some(Some(name)), None) => {
-                let zoo = conformance_zoo();
-                if !zoo.iter().any(|e| e.name == name) {
+                if zoo_entry(name).is_none() {
                     return Err(SpecError::UnknownWorkload(name.to_owned()));
                 }
                 Workload::Zoo(name.to_owned())
@@ -294,9 +305,7 @@ impl SessionSpec {
             }
         };
         let default_steps = match &workload {
-            Workload::Zoo(name) => conformance_zoo()
-                .iter()
-                .find(|e| e.name == name.as_str())
+            Workload::Zoo(name) => zoo_entry(name)
                 .expect("validated against the registry above")
                 .max_steps
                 .min(limits.max_session_steps),
@@ -400,14 +409,11 @@ impl SessionSpec {
 
     /// The zoo entry a [`Workload::Zoo`] spec names (validated at parse,
     /// so present); `None` for tenant netlang workloads.
-    pub fn entry(&self) -> Option<ZooEntry> {
+    pub fn entry(&self) -> Option<&'static ZooEntry> {
         match &self.workload {
-            Workload::Zoo(name) => Some(
-                conformance_zoo()
-                    .into_iter()
-                    .find(|e| e.name == name.as_str())
-                    .expect("validated against the registry at parse"),
-            ),
+            Workload::Zoo(name) => {
+                Some(zoo_entry(name).expect("validated against the registry at parse"))
+            }
             Workload::NetLang(_) => None,
         }
     }
@@ -420,12 +426,15 @@ impl SessionSpec {
         }
     }
 
-    /// Checks a run report against the workload's equational description.
+    /// Checks a run report against the workload's equational
+    /// description. The description is built once: a zoo entry's by the
+    /// first check of any spec naming it, a netlang program's by the
+    /// first check through any clone of this spec.
     pub fn check(&self, report: &RunReport) -> Conformance {
         match &self.workload {
             Workload::Zoo(_) => self.entry().expect("zoo workload").check(report),
             Workload::NetLang(program) => conformance::check_report(
-                &program.description(),
+                program.cached_description(),
                 report,
                 &ConformanceOptions::default(),
             ),
@@ -477,7 +486,7 @@ impl TraceSpec {
                 expected: "a string workload name",
             })?
             .to_owned();
-        if !conformance_zoo().iter().any(|e| e.name == workload) {
+        if zoo_entry(&workload).is_none() {
             return Err(SpecError::UnknownWorkload(workload));
         }
         let events_json = p

@@ -462,6 +462,141 @@ fn fleet_report_merges_durable_session_sketches() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A netlang relay chain over `len` channels starting at index `base`,
+/// fed `vals` values: one session's sketch block then names `len`
+/// channel keys, and sessions at different bases name different ones.
+fn relay_spec(base: u64, len: u64, vals: u64) -> Json {
+    let mut src = format!("net relay-{base}\nsteps 2000\n");
+    for c in base..base + len {
+        src.push_str(&format!("chan c{c} = {c}\n"));
+    }
+    let vals: Vec<String> = (0..vals).map(|v| v.to_string()).collect();
+    let vals = vals.join(" ");
+    src.push_str(&format!(
+        "proc s = const c{base} [{vals}]\neq c{base} <= [{vals}]\n"
+    ));
+    for c in base + 1..base + len {
+        src.push_str(&format!("proc p{c} = copy c{} -> c{c}\n", c - 1));
+        src.push_str(&format!("eq c{c} <= c{}\n", c - 1));
+    }
+    obj([("netlang", s(src))])
+}
+
+/// Submits each spec, waits for its verdict, and returns the decoded
+/// sketch block every verdict carries.
+fn finish_all(client: &mut Client, specs: &[Json]) -> Vec<eqp_kahn::TelemetrySketches> {
+    specs
+        .iter()
+        .map(|spec| {
+            let id = client
+                .submit("fleet", spec.clone())
+                .expect("io")
+                .expect("admitted");
+            let r = poll_done(client, id);
+            let hex = r.get("sketches").and_then(Json::as_str).expect("sketches");
+            let bytes = eqpd::session::from_hex(hex).expect("hex decodes");
+            eqp_kahn::TelemetrySketches::from_bytes(&bytes).expect("block decodes")
+        })
+        .collect()
+}
+
+#[test]
+fn fleet_report_is_live_across_a_restart_past_candidate_capacity() {
+    let dir = temp_dir("fleet-restart");
+    let cfg = ServerConfig {
+        journal_dir: dir.clone(),
+        workers: 2,
+        ..Default::default()
+    };
+    // Eight sessions of 12 channels at bases 7 apart: 61 channel keys
+    // in all, past the heavy-hitter capacity of 32, with uneven traffic.
+    let specs: Vec<Json> = (0..8u64)
+        .map(|j| relay_spec(7 * j, 12, 3 + 2 * j))
+        .collect();
+    let (before, after) = specs.split_at(4);
+    let report = |client: &mut Client| {
+        client
+            .call("fleet_report", obj([]))
+            .expect("io")
+            .expect("rpc ok")
+    };
+
+    let (handle, addr) = start(cfg.clone());
+    let mut client = Client::connect(&addr).expect("connects");
+    let mut blocks = finish_all(&mut client, before);
+    let last_before = report(&mut client);
+    handle.stop();
+
+    let (handle, addr) = start(cfg);
+    let mut client = Client::connect(&addr).expect("connects");
+    assert_eq!(
+        report(&mut client),
+        last_before,
+        "a restart keeps the report"
+    );
+    blocks.extend(finish_all(&mut client, after));
+    let fleet = client.fleet_report().expect("io").expect("rpc ok");
+    handle.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+
+    assert_eq!(fleet.sessions, specs.len() as u64, "{fleet:?}");
+    assert_eq!(fleet.with_sketches, specs.len() as u64, "{fleet:?}");
+    let mut manual = eqp_kahn::TelemetrySketches::default();
+    for b in &blocks {
+        manual.absorb(b);
+    }
+    assert!(
+        manual.channel_traffic.top(usize::MAX).len() > 32,
+        "the fleet's channel keys must overflow the candidate list"
+    );
+    manual.shrink();
+    assert_eq!(
+        fleet.sketches.expect("image decodes").to_bytes(),
+        manual.to_bytes(),
+        "daemon rollup == client-side absorb-then-shrink"
+    );
+}
+
+#[test]
+fn failed_verdict_write_is_counted_and_left_out_of_the_fleet() {
+    let dir = temp_dir("verdict-write");
+    let (handle, addr) = start(ServerConfig {
+        journal_dir: dir.clone(),
+        workers: 1,
+        start_paused: true,
+        ..Default::default()
+    });
+    let mut client = Client::connect(&addr).expect("connects");
+    let id = client
+        .submit("t", spec_json("ticks", 5))
+        .expect("io")
+        .expect("admitted");
+    // The spec is journaled; a regular file in place of the session's
+    // directory makes every later write under it fail.
+    let sdir = dir.join(format!("s{id}"));
+    std::fs::remove_dir_all(&sdir).expect("session dir");
+    std::fs::write(&sdir, b"not a directory").expect("blocker file");
+    client
+        .call("pause", obj([("paused", Json::Bool(false))]))
+        .expect("io")
+        .expect("unpaused");
+    let verdicts = collect_verdicts(&mut client, &[id]);
+    assert!(verdicts.contains_key(&id), "the verdict is still streamed");
+
+    let stats = client.call("stats", obj([])).expect("io").expect("stats");
+    let count = |k: &str| stats.get(k).and_then(Json::as_u64);
+    assert_eq!(count("verdict_write_failed"), Some(1), "{stats:?}");
+    assert_eq!(count("completed"), Some(1), "{stats:?}");
+    let fleet = client.fleet_report().expect("io").expect("rpc ok");
+    assert_eq!(
+        fleet.sessions, 0,
+        "a verdict no restart can find: {fleet:?}"
+    );
+    assert_eq!(fleet.with_sketches, 0, "{fleet:?}");
+    handle.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn graceful_drain_checkpoints_and_next_incarnation_finishes_identically() {
     let dir = temp_dir("drain");

@@ -135,7 +135,7 @@ pub enum NetError {
     /// An `expr` process's expression cannot run as a process: it reads
     /// its own output channel, or it is an infinite constant, which no
     /// finite run can emit.
-    NotIncremental {
+    NotRunnable {
         /// 1-based source line.
         line: usize,
         /// Why the expression was refused.
@@ -182,11 +182,8 @@ impl fmt::Display for NetError {
             NetError::OutOfRange { line, field, bound } => {
                 write!(f, "line {line}: {field} out of range (expected {bound})")
             }
-            NetError::NotIncremental { line, why } => {
-                write!(
-                    f,
-                    "line {line}: expression is not incrementally runnable: {why}"
-                )
+            NetError::NotRunnable { line, why } => {
+                write!(f, "line {line}: expression cannot run as a process: {why}")
             }
             NetError::Empty => write!(f, "program declares no processes"),
         }

@@ -30,6 +30,7 @@
 //! rejection is a typed [`NetError`]; no input can cause a panic.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::OnceLock;
 
 use eqp_seqfn::{SeqExpr, ValueMap, ValuePred, ValueZip};
 use eqp_trace::{Chan, Lasso, Trace, Value};
@@ -695,6 +696,7 @@ pub fn parse(source: &str, limits: &NetLimits) -> Result<NetProgram, NetError> {
         chans: ctx.chans,
         procs: ctx.procs,
         equations: ctx.equations,
+        described: OnceLock::new(),
     })
 }
 
@@ -828,13 +830,13 @@ fn check_proc(
     }
     if let ProcKind::Expr { expr, .. } = kind {
         if expr.channels().contains(output) {
-            return Err(NetError::NotIncremental {
+            return Err(NetError::NotRunnable {
                 line: cur.line,
                 why: "expression reads its own output channel".into(),
             });
         }
         if expr.compile().eval(&Trace::empty()).is_infinite() {
-            return Err(NetError::NotIncremental {
+            return Err(NetError::NotRunnable {
                 line: cur.line,
                 why: "expression is an infinite constant, which no process can emit".into(),
             });
@@ -1106,14 +1108,14 @@ mod tests {
     fn expr_proc_reading_own_output_rejected() {
         let src = "chan b = 0\nproc p = expr b := map(untag, b)\n";
         let e = parse(src, &lim()).unwrap_err();
-        assert!(matches!(e, NetError::NotIncremental { .. }), "{e}");
+        assert!(matches!(e, NetError::NotRunnable { .. }), "{e}");
     }
 
     #[test]
     fn infinite_constant_expr_proc_rejected() {
         let src = "chan b = 0\nproc p = expr b := loop([],[1])\n";
         let e = parse(src, &lim()).unwrap_err();
-        assert!(matches!(e, NetError::NotIncremental { .. }), "{e}");
+        assert!(matches!(e, NetError::NotRunnable { .. }), "{e}");
     }
 
     #[test]

@@ -6,6 +6,7 @@ use eqp_kahn::procs::{Apply, Copy, Delay, Merge2, Source, Zip2};
 use eqp_kahn::{ExprProc, FilterStep, Network, Oracle};
 use eqp_seqfn::{SeqExpr, ValueMap, ValuePred, ValueZip};
 use eqp_trace::{Chan, Lasso, Value};
+use std::sync::OnceLock;
 
 /// One process declaration, drawn from the safe combinator vocabulary.
 ///
@@ -170,6 +171,8 @@ pub struct NetProgram {
     pub(crate) chans: Vec<(String, Chan)>,
     pub(crate) procs: Vec<ProcDecl>,
     pub(crate) equations: Vec<(SeqExpr, SeqExpr)>,
+    /// [`cached_description`](NetProgram::cached_description)'s store.
+    pub(crate) described: OnceLock<Description>,
 }
 
 impl PartialEq for NetProgram {
@@ -304,5 +307,12 @@ impl NetProgram {
             d = d.equation(lhs.clone(), rhs.clone());
         }
         d
+    }
+
+    /// The program's description, built on first use and kept, so every
+    /// later check (through any `Arc` of the program) reuses its
+    /// compiled sides and walk cache.
+    pub fn cached_description(&self) -> &Description {
+        self.described.get_or_init(|| self.description())
     }
 }

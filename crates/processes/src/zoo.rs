@@ -26,6 +26,7 @@ use eqp_core::Description;
 use eqp_kahn::conformance::{self, Conformance, ConformanceOptions};
 use eqp_kahn::{Network, Oracle, RunOptions, RunReport, RunWith, Scheduler};
 use eqp_trace::{Event, Trace};
+use std::sync::OnceLock;
 
 /// One registered network/description pair.
 pub struct ZooEntry {
@@ -45,6 +46,9 @@ pub struct ZooEntry {
     /// Optional trace completion applied before the conformance check
     /// (e.g. oracle reconstruction for the fork).
     complete: Option<fn(&Trace) -> Trace>,
+    /// The description [`check`](ZooEntry::check) uses, built on its
+    /// first call and kept, so repeated checks share its caches.
+    described: OnceLock<Description>,
 }
 
 impl ZooEntry {
@@ -57,6 +61,13 @@ impl ZooEntry {
     /// The description the network must conform to.
     pub fn description(&self) -> Description {
         (self.describe)()
+    }
+
+    /// The entry's description, built on first use and kept for the
+    /// entry's lifetime (a check then reuses its compiled sides and walk
+    /// cache instead of rebuilding them).
+    pub fn cached_description(&self) -> &Description {
+        self.described.get_or_init(self.describe)
     }
 
     /// Runs the network under `sched` and checks the trace against the
@@ -100,14 +111,14 @@ impl ZooEntry {
     /// daemon resuming a session from a journal) can re-certify a report
     /// they did not produce via [`ZooEntry::certify`].
     pub fn check(&self, report: &RunReport) -> Conformance {
-        let desc = self.description();
+        let desc = self.cached_description();
         let opts = ConformanceOptions::default();
         match self.complete {
             Some(complete) => {
                 let t = complete(&report.trace);
-                conformance::check_trace(&desc, &t, report.quiescent, &opts)
+                conformance::check_trace(desc, &t, report.quiescent, &opts)
             }
-            None => conformance::check_report(&desc, report, &opts),
+            None => conformance::check_report(desc, report, &opts),
         }
     }
 
@@ -158,6 +169,7 @@ pub fn conformance_zoo() -> Vec<ZooEntry> {
             build: |_| copy::plain_network(),
             describe: || copy::plain_system().to_description("fig1-plain"),
             complete: None,
+            described: OnceLock::new(),
         },
         ZooEntry {
             name: "fig1-seeded",
@@ -167,6 +179,7 @@ pub fn conformance_zoo() -> Vec<ZooEntry> {
             build: |_| copy::seeded_network(),
             describe: copy::seeded_description,
             complete: None,
+            described: OnceLock::new(),
         },
         ZooEntry {
             name: "ticks",
@@ -176,6 +189,7 @@ pub fn conformance_zoo() -> Vec<ZooEntry> {
             build: |_| ticks::network(),
             describe: ticks::description,
             complete: None,
+            described: OnceLock::new(),
         },
         ZooEntry {
             name: "sec23-merge",
@@ -185,6 +199,7 @@ pub fn conformance_zoo() -> Vec<ZooEntry> {
             build: |seed| dfm::section23_network(Oracle::fair(seed, 2)),
             describe: dfm::section23_description,
             complete: None,
+            described: OnceLock::new(),
         },
         ZooEntry {
             name: "brock-ackermann",
@@ -194,6 +209,7 @@ pub fn conformance_zoo() -> Vec<ZooEntry> {
             build: |seed| brock_ackermann::network(Oracle::fair(seed, 2)),
             describe: || brock_ackermann::system().flatten(),
             complete: None,
+            described: OnceLock::new(),
         },
         ZooEntry {
             name: "random-bit",
@@ -207,6 +223,7 @@ pub fn conformance_zoo() -> Vec<ZooEntry> {
             },
             describe: random_bit::bit_description,
             complete: None,
+            described: OnceLock::new(),
         },
         ZooEntry {
             name: "random-bit-seq",
@@ -216,6 +233,7 @@ pub fn conformance_zoo() -> Vec<ZooEntry> {
             build: |_| random_bit::sequence_network(4),
             describe: random_bit::sequence_description,
             complete: None,
+            described: OnceLock::new(),
         },
         ZooEntry {
             name: "fair-random",
@@ -225,6 +243,7 @@ pub fn conformance_zoo() -> Vec<ZooEntry> {
             build: |seed| fair_random::network(seed, 2),
             describe: fair_random::description,
             complete: None,
+            described: OnceLock::new(),
         },
         ZooEntry {
             name: "fair-merge",
@@ -234,6 +253,7 @@ pub fn conformance_zoo() -> Vec<ZooEntry> {
             build: |seed| crate::fair_merge::network(&[2, 4, 6], &[1, 3], Oracle::fair(seed, 2)),
             describe: || crate::fair_merge::eliminated_system().flatten(),
             complete: None,
+            described: OnceLock::new(),
         },
         ZooEntry {
             name: "fork",
@@ -243,6 +263,7 @@ pub fn conformance_zoo() -> Vec<ZooEntry> {
             build: |_| fork::network(&[1, 2, 3, 4]),
             describe: fork::description,
             complete: Some(complete_fork_trace),
+            described: OnceLock::new(),
         },
         ZooEntry {
             name: "bag",
@@ -252,6 +273,7 @@ pub fn conformance_zoo() -> Vec<ZooEntry> {
             build: |_| bag::network(&[1, 2, 3]),
             describe: || bag::specification(1, 3),
             complete: None,
+            described: OnceLock::new(),
         },
         ZooEntry {
             name: "folklore-fair-random",
@@ -265,6 +287,7 @@ pub fn conformance_zoo() -> Vec<ZooEntry> {
                     .expect("MERGED is fresh")
             },
             complete: None,
+            described: OnceLock::new(),
         },
         ZooEntry {
             name: "folklore-random-bit",
@@ -278,6 +301,7 @@ pub fn conformance_zoo() -> Vec<ZooEntry> {
                     .expect("BIT is fresh")
             },
             complete: None,
+            described: OnceLock::new(),
         },
         ZooEntry {
             name: "feedback-nats",
@@ -287,6 +311,7 @@ pub fn conformance_zoo() -> Vec<ZooEntry> {
             build: |_| feedback::nats_network(),
             describe: || feedback::nats_system().to_description("nats"),
             complete: None,
+            described: OnceLock::new(),
         },
     ]
 }

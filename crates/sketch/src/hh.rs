@@ -25,7 +25,20 @@
 //! list never overflows (every zoo network has far fewer channels than
 //! `M`) the counters are exact and the merge is exactly associative.
 //!
+//! Past `M` keys the *set* of survivors, their counters and the
+//! decrement do depend on the merge order, because [`merge`] shrinks
+//! after every fold. [`merge`] is therefore [`absorb`] (an exact
+//! commutative monoid: counters, candidate lists and decrements add)
+//! followed by [`shrink`]. A rollup that absorbs every block and
+//! shrinks once at the end gives the same bytes in any order, and the
+//! bound above still holds: every block's candidates sum to at most
+//! `nᵢ − (M+1)·dᵢ`, so one shrink by `δ` leaves
+//! `(M+1)·(Σdᵢ + δ) ≤ Σnᵢ`.
+//!
 //! [`error_bound`]: HeavyHitters::error_bound
+//! [`merge`]: HeavyHitters::merge
+//! [`absorb`]: HeavyHitters::absorb
+//! [`shrink`]: HeavyHitters::shrink
 
 use crate::splitmix64;
 use std::fmt;
@@ -144,8 +157,9 @@ impl HeavyHitters {
     /// The Misra–Gries overflow step: subtract the `(M+1)`-th largest
     /// counter from every entry, drop the non-positive. Deterministic,
     /// and removes at least `(M+1)·δ` mass, which is what certifies
-    /// `decremented ≤ total/(M+1)`.
-    fn shrink(&mut self) {
+    /// `decremented ≤ total/(M+1)`. Leaves at most `M` candidates; a
+    /// no-op while the list is within capacity.
+    pub fn shrink(&mut self) {
         if self.candidates.len() <= self.capacity as usize {
             return;
         }
@@ -203,14 +217,25 @@ impl HeavyHitters {
         self.rows = rows;
     }
 
-    /// Folds `other` in: aligns both to the coarser shape, adds the
-    /// count-min grids, and merges the candidate lists keywise with the
-    /// Misra–Gries overflow step. Commutative and identity-preserving;
-    /// the count-min core is exactly associative, and the candidate
-    /// layer is associative at the guarantee level — every key above
-    /// `error_bound()` survives any merge order (exactly associative
-    /// whenever the list never overflows).
+    /// Folds `other` in: [`absorb`](HeavyHitters::absorb) followed by
+    /// [`shrink`](HeavyHitters::shrink). Commutative and
+    /// identity-preserving; the count-min core is exactly associative,
+    /// and the candidate layer is associative at the guarantee level —
+    /// every key above `error_bound()` survives any merge order (exactly
+    /// associative whenever the list never overflows).
     pub fn merge(&mut self, other: &HeavyHitters) {
+        self.absorb(other);
+        self.shrink();
+    }
+
+    /// Folds `other` in exactly: aligns both to the coarser shape, adds
+    /// the count-min grids, totals and decrements, and sums the
+    /// candidate lists keywise. An exact commutative monoid with the
+    /// empty sketch as identity, so any order of absorbs gives the same
+    /// sketch. The candidate list may grow past capacity (to the union
+    /// of the absorbed keys); [`shrink`](HeavyHitters::shrink) before
+    /// encoding.
+    pub fn absorb(&mut self, other: &HeavyHitters) {
         if other.is_empty() {
             return;
         }
@@ -220,22 +245,30 @@ impl HeavyHitters {
         }
         self.fold_cols_to(other.cols_log2);
         self.truncate_rows_to(other.rows);
-        let mut theirs = other.clone();
-        theirs.fold_cols_to(self.cols_log2);
-        theirs.truncate_rows_to(self.rows);
-        for (mine, add) in self.counts.iter_mut().zip(&theirs.counts) {
+        if (other.rows, other.cols_log2) == (self.rows, self.cols_log2) {
+            self.add_aligned(other);
+        } else {
+            let mut theirs = other.clone();
+            theirs.fold_cols_to(self.cols_log2);
+            theirs.truncate_rows_to(self.rows);
+            self.add_aligned(&theirs);
+        }
+    }
+
+    /// The exact sum of two sketches of one shape.
+    fn add_aligned(&mut self, other: &HeavyHitters) {
+        for (mine, add) in self.counts.iter_mut().zip(&other.counts) {
             *mine += add;
         }
-        self.total += theirs.total;
-        self.decremented += theirs.decremented;
-        self.capacity = self.capacity.min(theirs.capacity);
-        for &(key, n) in &theirs.candidates {
+        self.total += other.total;
+        self.decremented += other.decremented;
+        self.capacity = self.capacity.min(other.capacity);
+        for &(key, n) in &other.candidates {
             match self.candidates.binary_search_by_key(&key, |&(k, _)| k) {
                 Ok(i) => self.candidates[i].1 += n,
                 Err(i) => self.candidates.insert(i, (key, n)),
             }
         }
-        self.shrink();
     }
 
     pub(crate) fn shape(&self) -> (u8, u8, u16, u64, u64) {
@@ -365,6 +398,38 @@ mod tests {
         let mut id = a.clone();
         id.merge(&HeavyHitters::new(1, 4, 1));
         assert_eq!(id, a, "empty sketch must not coarsen the target");
+    }
+
+    #[test]
+    fn absorb_then_shrink_is_order_free_where_merge_is_not() {
+        // Three blocks over 12 keys at capacity 4: every pairwise merge
+        // overflows, so the per-merge shrink sees different lists.
+        let blocks: Vec<HeavyHitters> = (0..3u64)
+            .map(|b| {
+                let mut h = HeavyHitters::new(4, 10, 4);
+                for k in 0..4u64 {
+                    h.insert(4 * b + k, 1 + (b + k) % 4);
+                }
+                h
+            })
+            .collect();
+        let fold = |order: [usize; 3], absorb: bool| {
+            let mut acc = HeavyHitters::new(4, 10, 4);
+            for i in order {
+                if absorb {
+                    acc.absorb(&blocks[i]);
+                } else {
+                    acc.merge(&blocks[i]);
+                }
+            }
+            acc.shrink();
+            acc
+        };
+        assert_ne!(fold([0, 1, 2], false), fold([2, 1, 0], false));
+        let (a, b) = (fold([0, 1, 2], true), fold([2, 1, 0], true));
+        assert_eq!(a, b);
+        assert!(a.error_bound() <= a.count() / 5);
+        assert!(a.candidates.len() <= 4);
     }
 
     #[test]

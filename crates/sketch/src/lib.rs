@@ -26,8 +26,10 @@
 //!   exact monoid) paired with a bounded candidate list for top-k
 //!   reporting. The candidate layer prunes deterministically and is
 //!   associative at the ε-heavy-hitter guarantee level: every key whose
-//!   true count exceeds `εn` survives any merge order with the same
-//!   estimate.
+//!   true count exceeds `εn` survives any merge order. Past the list's
+//!   capacity the pruned result depends on the order, so an
+//!   order-independent rollup [`absorb`](TelemetrySketches::absorb)s
+//!   every block (exact) and [`shrink`](TelemetrySketches::shrink)s once.
 //! * [`Hll`] — hyperloglog over 64-bit hashes; merge is elementwise
 //!   register max (exact monoid), and registers at precision `p` fold
 //!   exactly to any `p' < p`, so mixed-precision merges stay lossless
@@ -148,12 +150,24 @@ impl TelemetrySketches {
             && self.distinct_values.is_empty()
     }
 
-    /// Folds `other` in. Associative and commutative; merging with an
-    /// empty block is the identity.
+    /// Folds `other` in: [`absorb`](TelemetrySketches::absorb) followed
+    /// by [`shrink`](TelemetrySketches::shrink). Associative and
+    /// commutative at the guarantee level; merging with an empty block
+    /// is the identity.
     pub fn merge(&mut self, other: &TelemetrySketches) {
+        self.absorb(other);
+        self.shrink();
+    }
+
+    /// Folds `other` in exactly: every part adds without the
+    /// heavy-hitter shrink (see [`HeavyHitters::absorb`]), so absorbing
+    /// blocks in any order gives the same block. The candidate list may
+    /// exceed its capacity until [`shrink`](TelemetrySketches::shrink),
+    /// which must run before [`to_bytes`](TelemetrySketches::to_bytes).
+    pub fn absorb(&mut self, other: &TelemetrySketches) {
         self.queue_depth.merge(&other.queue_depth);
         self.latency.merge(&other.latency);
-        self.channel_traffic.merge(&other.channel_traffic);
+        self.channel_traffic.absorb(&other.channel_traffic);
         // Blocks captured at one sampling exponent merge exactly; a
         // mixed-exponent merge (never produced by one fleet, whose
         // capture policy is a constant) aligns best-effort to the
@@ -166,6 +180,13 @@ impl TelemetrySketches {
             };
         }
         self.distinct_values.merge(&other.distinct_values);
+    }
+
+    /// Runs the heavy-hitter overflow step
+    /// ([`HeavyHitters::shrink`]); the other sketches are always within
+    /// their fixed footprint.
+    pub fn shrink(&mut self) {
+        self.channel_traffic.shrink();
     }
 
     /// Serialises to the versioned, checksummed byte format.

@@ -202,6 +202,74 @@ proptest! {
             "{} of {} keys overshoot eps*n", cm_overshoots, truth.len());
     }
 
+    /// Past the candidate capacity, a rollup that absorbs every block
+    /// and shrinks once is order-free: two random orders give the same
+    /// bytes, the certified bound holds, and every key above it stays a
+    /// candidate.
+    #[test]
+    fn absorb_then_shrink_is_order_free_past_capacity(seed in 0u64..300, blocks in 2usize..9,
+                                                      union in 40u64..120,
+                                                      order_a in any::<u64>(),
+                                                      order_b in any::<u64>()) {
+        let cfg = SketchConfig::default();
+        let cap = u64::from(cfg.hh_capacity);
+        let mut truth: BTreeMap<u64, u64> = BTreeMap::new();
+        let n_blocks = blocks as u64;
+        let parts: Vec<TelemetrySketches> = (0..n_blocks)
+            .map(|b| {
+                let mut s = TelemetrySketches::new(cfg);
+                let mut send = |s: &mut TelemetrySketches, key: u64, inc: u64| {
+                    s.channel_traffic.insert(key, inc);
+                    *truth.entry(key).or_insert(0) += inc;
+                };
+                // each block owns a slice of the `union` keys, so the
+                // blocks together overflow the candidate list
+                for key in b * union / n_blocks..(b + 1) * union / n_blocks {
+                    send(&mut s, key, 1);
+                }
+                // then traffic where keys 0..3 dominate
+                for v in stream(seed ^ splitmix64(b), 300, 0) {
+                    let key = if v % 4 == 0 { v % 3 } else { v % union };
+                    send(&mut s, key, 1 + v % 3);
+                    s.queue_depth.insert(v % 4096);
+                    s.distinct_values.insert(splitmix64(v));
+                }
+                s
+            })
+            .collect();
+        prop_assert!(truth.len() as u64 > cap);
+        let rollup = |order: u64| {
+            let mut idx: Vec<usize> = (0..parts.len()).collect();
+            idx.sort_by_key(|&i| splitmix64(order ^ i as u64));
+            let mut acc = TelemetrySketches::new(cfg);
+            for i in idx {
+                acc.absorb(&parts[i]);
+            }
+            acc.shrink();
+            acc
+        };
+        let (a, b) = (rollup(order_a), rollup(order_b));
+        prop_assert_eq!(a.to_bytes(), b.to_bytes());
+        let hh = &a.channel_traffic;
+        let n: u64 = truth.values().sum();
+        prop_assert_eq!(hh.count(), n);
+        prop_assert!(hh.error_bound() <= n / (cap + 1),
+            "certified bound {} exceeds n/(M+1) = {}", hh.error_bound(), n / (cap + 1));
+        let candidates = hh.top(usize::MAX);
+        prop_assert!(candidates.len() as u64 <= cap);
+        for (&k, &cnt) in &truth {
+            if cnt > hh.error_bound() {
+                let (_, counter) = candidates
+                    .iter()
+                    .copied()
+                    .find(|&(key, _)| key == k)
+                    .unwrap_or_else(|| panic!("key {k} (count {cnt}) above the certified \
+                                               bound {} must stay a candidate", hh.error_bound()));
+                prop_assert!(counter <= cnt && cnt - counter <= hh.error_bound());
+            }
+        }
+    }
+
     /// The full container: merge-equals-bulk under round-robin sharding,
     /// and the byte codec round-trips the merged result exactly.
     #[test]
